@@ -19,16 +19,10 @@ from .acquisition import (
 from .aggregation import (
     AnnealingSchedule,
     FeedbackState,
-    HybridSpec,
-    SeriesSpec,
     annealing_phase,
-    feedback_select,
     feedback_update,
-    hybrid_select,
     parallel_ranked_select,
-    parallel_select,
     random_alternate,
-    series_select,
 )
 from .datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from .evaluation import (

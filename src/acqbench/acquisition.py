@@ -28,7 +28,7 @@ class ProbabilityTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = np.array(self.data, dtype=np.float64)
         if d.ndim != 3:
             raise ValueError(f"expected [n_passes, n, n_classes], got shape {d.shape}")
         if d.shape[0] < 1 or d.shape[1] < 1 or d.shape[2] < 1:

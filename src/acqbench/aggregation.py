@@ -1,44 +1,26 @@
-"""Structures that combine two or more acquisition selectors per round.
+"""Model-free policy of the combination structures.
 
-A selector here is any callable `(model_state, candidates, budget, seed)
--> selected` where `candidates` is an int64 array of dataset indices,
-`selected` is an ordered subset of it of length `budget`, and `seed` is an
-integer key tuple for `rng.stream`. The structures never inspect the model
-state; they only route candidate sets, budgets, and child seed keys.
-
-Six combination schemes are provided: rank aggregation over two score
-vectors, disjoint-half parallel selection, multi-stage series filtering,
-split-budget hybrid selection, and three explore/exploit alternation rules
-(loss-feedback, annealing schedule, fair coin).
+Everything here is a pure function of scores, losses or round numbers:
+rank aggregation of two score vectors (the parallel-ranked structure), the
+loss-feedback explore/exploit balance, the annealing phase schedule, the
+fair-coin alternation, and the check that a batch is `b` distinct members
+of its candidate set. The structures themselves (series, parallel,
+parallel-ranked, hybrid, feedback, annealing, random alternation) are
+`Strategy` classes in `strategies.py`, which route candidates, budgets and
+child seed keys and call into this module for each decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .rng import NS_ALTERNATE, stream
 
-SelectorFn = Callable[[object, np.ndarray, int, tuple[int, ...]], np.ndarray]
-
 EXPLORE = "explore"
 EXPLOIT = "exploit"
-
-
-def _check_candidates(candidates: np.ndarray, b: int) -> np.ndarray:
-    c = np.asarray(candidates, dtype=np.int64)
-    if c.ndim != 1:
-        raise ValueError(f"candidates must be 1-D, got shape {c.shape}")
-    if len(np.unique(c)) != len(c):
-        raise ValueError("duplicate candidate indices")
-    if b < 0:
-        raise ValueError(f"budget must be >= 0, got {b}")
-    if b > len(c):
-        raise ValueError(f"budget {b} exceeds {len(c)} candidates")
-    return c
 
 
 # --- rank aggregation -------------------------------------------------------
@@ -69,120 +51,6 @@ def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray
 
     sums = ranks(s1) + ranks(s2)
     return np.lexsort((np.arange(n), sums))[:b].astype(np.int64)
-
-
-# --- parallel (disjoint halves) ---------------------------------------------
-
-
-def parallel_select(
-    selector_a: SelectorFn,
-    selector_b: SelectorFn,
-    pool: np.ndarray,
-    b: int,
-    state: object,
-    seed: tuple[int, ...],
-) -> np.ndarray:
-    """Split the pool into two seeded disjoint halves, select b/2 from each.
-
-    The split is redrawn from `seed` on every call, so successive rounds
-    see fresh halves. Requires an even budget.
-    """
-    pool = _check_candidates(pool, b)
-    if b % 2 != 0:
-        raise ValueError(f"parallel selection needs an even budget, got {b}")
-    perm = stream(*seed, 0).permutation(len(pool))
-    cut = (len(pool) + 1) // 2
-    half_a = pool[perm[:cut]]
-    half_b = pool[perm[cut:]]
-    if b // 2 > min(len(half_a), len(half_b)):
-        raise ValueError(f"half budget {b // 2} exceeds a half of size {min(len(half_a), len(half_b))}")
-    picked_a = selector_a(state, half_a, b // 2, (*seed, 1))
-    picked_b = selector_b(state, half_b, b // 2, (*seed, 2))
-    return np.concatenate([picked_a, picked_b]).astype(np.int64)
-
-
-# --- series (multi-stage filtering) -----------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Ordered stages with shrink factors; stage i keeps kappas[i] * b items.
-
-    Shrink factors must be nonincreasing and end at exactly 1 so the last
-    stage emits the round budget.
-    """
-
-    stages: tuple[SelectorFn, ...]
-    kappas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
-        if len(self.stages) < 1:
-            raise ValueError("series needs at least one stage")
-        if len(self.stages) != len(self.kappas):
-            raise ValueError(f"{len(self.stages)} stages but {len(self.kappas)} shrink factors")
-        if any(k < 1.0 for k in self.kappas):
-            raise ValueError(f"shrink factors must be >= 1, got {self.kappas}")
-        if any(a < b for a, b in zip(self.kappas, self.kappas[1:])):
-            raise ValueError(f"shrink factors must be nonincreasing, got {self.kappas}")
-        if self.kappas[-1] != 1.0:
-            raise ValueError(f"final shrink factor must be 1, got {self.kappas[-1]}")
-
-
-def series_select(
-    spec: SeriesSpec,
-    pool: np.ndarray,
-    b: int,
-    state: object,
-    seed: tuple[int, ...],
-) -> np.ndarray:
-    """Run stages left to right, each filtering the previous stage's output."""
-    pool = _check_candidates(pool, b)
-    if b < 1:
-        raise ValueError(f"series budget must be >= 1, got {b}")
-    first_take = int(round(spec.kappas[0] * b))
-    if first_take > len(pool):
-        raise ValueError(f"first stage needs {first_take} candidates but pool has {len(pool)}")
-    cands = pool
-    for i, (selector, kappa) in enumerate(zip(spec.stages, spec.kappas)):
-        cands = selector(state, cands, int(round(kappa * b)), (*seed, i))
-    return np.asarray(cands, dtype=np.int64)
-
-
-# --- hybrid (split budget, shared pool) -------------------------------------
-
-
-@dataclass(frozen=True)
-class HybridSpec:
-    """Budget split: selector A picks `b_first`, selector B picks `b_second`
-    from the pool with A's picks removed."""
-
-    b_first: int
-    b_second: int
-
-    def __post_init__(self):
-        if self.b_first < 0 or self.b_second < 0:
-            raise ValueError(f"budgets must be >= 0, got ({self.b_first}, {self.b_second})")
-        if self.b_first + self.b_second < 1:
-            raise ValueError("hybrid total budget must be >= 1")
-
-
-def hybrid_select(
-    spec: HybridSpec,
-    selector_a: SelectorFn,
-    selector_b: SelectorFn,
-    pool: np.ndarray,
-    state: object,
-    seed: tuple[int, ...],
-) -> np.ndarray:
-    """Selector A takes its share from the full pool, B from the remainder."""
-    total = spec.b_first + spec.b_second
-    pool = _check_candidates(pool, total)
-    picked_a = selector_a(state, pool, spec.b_first, (*seed, 1))
-    rest = pool[~np.isin(pool, picked_a)]
-    picked_b = selector_b(state, rest, spec.b_second, (*seed, 2))
-    return np.concatenate([picked_a, picked_b]).astype(np.int64)
 
 
 # --- adaptive feedback alternation ------------------------------------------
@@ -238,22 +106,6 @@ def feedback_update(state: FeedbackState, new_loss: float) -> FeedbackState:
 def feedback_choice(state: FeedbackState) -> str:
     """Explore while the balance has not crossed 0.5 (boundary explores)."""
     return EXPLORE if state.beta <= 0.5 else EXPLOIT
-
-
-def feedback_select(
-    state: FeedbackState,
-    explore: SelectorFn,
-    exploit: SelectorFn,
-    pool: np.ndarray,
-    b: int,
-    model_state: object,
-    seed: tuple[int, ...],
-) -> tuple[np.ndarray, str]:
-    """Run whichever selector the current balance calls for."""
-    pool = _check_candidates(pool, b)
-    choice = feedback_choice(state)
-    selector = explore if choice == EXPLORE else exploit
-    return selector(model_state, pool, b, seed), choice
 
 
 # --- annealing alternation ---------------------------------------------------
@@ -320,23 +172,6 @@ def random_alternate(seed: int, t: int) -> str:
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     return EXPLORE if int(stream(seed, NS_ALTERNATE, t).integers(2)) == 0 else EXPLOIT
-
-
-def alternate_select(
-    choice: str,
-    explore: SelectorFn,
-    exploit: SelectorFn,
-    pool: np.ndarray,
-    b: int,
-    model_state: object,
-    seed: tuple[int, ...],
-) -> np.ndarray:
-    """Dispatch a round to the explore or exploit selector."""
-    pool = _check_candidates(pool, b)
-    if choice not in (EXPLORE, EXPLOIT):
-        raise ValueError(f"unknown choice {choice!r}")
-    selector = explore if choice == EXPLORE else exploit
-    return selector(model_state, pool, b, seed)
 
 
 def check_selection(candidates: np.ndarray, batch: np.ndarray, b: int) -> np.ndarray:

@@ -132,7 +132,7 @@ def validate_config(raw: dict) -> dict:
     if "strategy" not in raw:
         _fail("missing section 'strategy'")
     try:
-        build_strategy(raw["strategy"])
+        build_strategy(raw["strategy"]).check_budget(al["b"])
     except ValueError as e:
         _fail(f"invalid 'strategy': {e}")
 

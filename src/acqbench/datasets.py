@@ -27,8 +27,8 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        X = np.array(self.X, dtype=np.float64)
+        y = np.array(self.y, dtype=np.int64)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError(f"X must be a nonempty [n, d] matrix, got shape {X.shape}")
         if y.shape != (len(X),):

@@ -31,7 +31,7 @@ class AccuracyTable:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = np.array(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"data must be [rounds, seeds], got shape {d.shape}")
         if d.shape[1] != len(self.seeds):
@@ -106,7 +106,7 @@ class WinningRateMatrix:
     critical: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64)
         k = len(self.names)
         if m.shape != (k, k):
             raise ValueError(f"matrix shape {m.shape} does not match {k} names")

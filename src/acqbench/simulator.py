@@ -161,6 +161,7 @@ def _retrain(cfg: ExperimentConfig, labeled: np.ndarray, round_index: int) -> md
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Run one seeded experiment to completion."""
     strategy = build_strategy(cfg.strategy_spec)
+    strategy.check_budget(cfg.budget)
     n = len(cfg.train_ds)
     labeled = np.sort(
         stream(cfg.seed, NS_INIT_LABELED).choice(n, size=cfg.initial_labeled, replace=False)

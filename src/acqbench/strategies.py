@@ -1,10 +1,16 @@
-"""Executable acquisition strategies and the spec that names them.
+"""Acquisition strategies, leaf and structure, and the registry that
+names them.
 
 A `Strategy` owns one round-level decision: given the current model (via
 `RoundState`) and a candidate index array, pick `budget` dataset indices.
-`build_strategy` turns a plain config dict (kind / params / constituents)
-into a strategy tree, so config files, ablations, and tests all share one
-vocabulary.
+Leaves score or embed the candidates and call a selector from
+`acquisition`. Structures (series, parallel, parallel_ranked, hybrid,
+feedback, annealing, random_alternate) route candidates, budgets and child
+seed keys `(*seed, i)` to their constituents, and take their model-free
+decisions from `aggregation`. `KINDS` holds each kind's params, constituent
+count and factory; `build_strategy` turns a config dict (kind / params /
+constituents / name) into a strategy tree from it, so config files,
+ablations, and tests all share one vocabulary.
 
 Candidate order: every strategy canonicalizes its candidates to ascending
 dataset index before selecting, so "lowest index" tie-breaks always mean
@@ -19,7 +25,10 @@ inference accounting exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,20 +49,14 @@ from .acquisition import (
     select_top_k,
 )
 from .aggregation import (
-    EXPLOIT,
     EXPLORE,
     AnnealingSchedule,
     FeedbackState,
-    HybridSpec,
-    SeriesSpec,
     annealing_phase,
-    feedback_select,
+    feedback_choice,
     feedback_update,
-    hybrid_select,
     parallel_ranked_select,
-    parallel_select,
     random_alternate,
-    series_select,
 )
 from .rng import derive_seed, stream
 
@@ -108,11 +111,13 @@ class RoundState:
 
 
 class Strategy:
-    """Base: one select() per round; alternators overwrite `last_tag`."""
+    """Base: one select() per round; alternators overwrite `last_tag`.
+    `constituents` are the strategies a structure routes to (a leaf has none)."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, *constituents: Strategy):
         self.name = name
         self.last_tag = name
+        self.constituents = constituents
 
     def select(
         self, state: RoundState, candidates: np.ndarray, budget: int, seed: tuple[int, ...]
@@ -122,9 +127,34 @@ class Strategy:
     def observe_loss(self, loss: float) -> None:
         """Post-round hook fed the selecting model's loss on the batch."""
 
+    def budgets(self, budget: int) -> list[int]:
+        """Each constituent's budget when this node picks `budget`; the
+        structure's budget rule, raising ValueError when it is broken."""
+        return [budget] * len(self.constituents)
+
+    def check_budget(self, budget: int) -> None:
+        """Apply `budgets` down the whole tree, before any training."""
+        for sub, b in zip(self.constituents, self.budgets(budget)):
+            sub.check_budget(b)
+
 
 def _ascending(candidates: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(candidates, dtype=np.int64))
+
+
+def _integer(value, where: str) -> int:
+    """An int, or a float with an integral value; bools are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class RandomStrategy(Strategy):
@@ -153,18 +183,17 @@ class ScoredStrategy(Strategy):
         super().__init__(kind)
         self.scorer = SCORERS[kind]
 
-    def scores(self, state: RoundState, cands: np.ndarray) -> np.ndarray:
-        return self.scorer(state.mc_probs(cands))
-
     def select(self, state, candidates, budget, seed):
         cands = _ascending(candidates)
-        return cands[select_top_k(self.scores(state, cands), budget)]
+        return cands[select_top_k(self.scorer(state.mc_probs(cands)), budget)]
 
 
 class PowerBaldStrategy(Strategy):
     """BALD scores sampled without replacement with probability ~ score^power."""
 
-    def __init__(self, power: float = 1.0):
+    def __init__(self, power: float):
+        if not power > 0.0:
+            raise ValueError(f"power_bald power must be > 0, got {power}")
         super().__init__(f"power_bald_p{power:g}")
         self.power = float(power)
 
@@ -222,85 +251,123 @@ class DisparityMinStrategy(Strategy):
 
 
 class SeriesStrategy(Strategy):
-    def __init__(self, stages: list[Strategy], kappas: list[float], name: str):
-        super().__init__(name)
-        self.spec = SeriesSpec(tuple(s.select for s in stages), tuple(kappas))
-        self.stages = stages
+    """Stages filter left to right; stage i keeps round(kappas[i] * b).
+    Shrink factors are nonincreasing and end at exactly 1, so all are >= 1
+    and the last stage emits the round budget."""
+
+    def __init__(self, *stages: Strategy, kappas):
+        if not isinstance(kappas, (list, tuple)):
+            raise ValueError("series strategy requires params.kappas as a list")
+        self.kappas = tuple(_number(k, "series kappas") for k in kappas)
+        if not stages or len(stages) != len(self.kappas):
+            raise ValueError(f"series needs one kappa per constituent, got {len(self.kappas)} for {len(stages)}")
+        if any(a < b for a, b in zip(self.kappas, self.kappas[1:])):
+            raise ValueError(f"shrink factors must be nonincreasing, got {self.kappas}")
+        if self.kappas[-1] != 1.0:
+            raise ValueError(f"final shrink factor must be 1, got {self.kappas[-1]}")
+        shrink = "x".join(f"{k:g}" for k in self.kappas)
+        super().__init__("series_" + "_".join(s.name for s in stages) + f"_k{shrink}", *stages)
+
+    def budgets(self, budget):
+        if budget < 1:
+            raise ValueError(f"series budget must be >= 1, got {budget}")
+        return [int(round(k * budget)) for k in self.kappas]
 
     def select(self, state, candidates, budget, seed):
-        return series_select(self.spec, _ascending(candidates), budget, state, seed)
+        cands = _ascending(candidates)
+        for i, (stage, b) in enumerate(zip(self.constituents, self.budgets(budget))):
+            cands = stage.select(state, cands, b, (*seed, i))
+        return cands
 
 
 class ParallelStrategy(Strategy):
-    def __init__(self, first: Strategy, second: Strategy, name: str):
-        super().__init__(name)
-        self.first = first
-        self.second = second
+    """Two seeded disjoint halves of the pool, b/2 picks from each.
+
+    The split is redrawn from the seed key on every call, so successive
+    rounds see fresh halves.
+    """
+
+    def __init__(self, first: Strategy, second: Strategy):
+        super().__init__(f"parallel_{first.name}_{second.name}", first, second)
+
+    def budgets(self, budget):
+        if budget % 2 != 0:
+            raise ValueError(f"parallel selection needs an even budget, got {budget}")
+        return [budget // 2] * 2
 
     def select(self, state, candidates, budget, seed):
-        return parallel_select(
-            self.first.select, self.second.select, _ascending(candidates), budget, state, seed
-        )
+        pool = _ascending(candidates)
+        perm = stream(*seed, 0).permutation(len(pool))
+        cut = (len(pool) + 1) // 2
+        halves = (pool[perm[:cut]], pool[perm[cut:]])
+        return np.concatenate([
+            sub.select(state, half, b, (*seed, i))
+            for i, (sub, half, b) in enumerate(zip(self.constituents, halves, self.budgets(budget)), start=1)
+        ])
 
 
 class ParallelRankedStrategy(Strategy):
     """Rank-sum aggregation of two scorers over one shared MC pass."""
 
-    def __init__(self, first: ScoredStrategy, second: ScoredStrategy, name: str):
-        super().__init__(name)
-        self.first = first
-        self.second = second
+    def __init__(self, first: Strategy, second: Strategy):
+        if not (isinstance(first, ScoredStrategy) and isinstance(second, ScoredStrategy)):
+            raise ValueError(f"parallel_ranked constituents must be scorer kinds {sorted(SCORERS)}")
+        super().__init__(f"parallel_ranked_{first.name}_{second.name}", first, second)
 
     def select(self, state, candidates, budget, seed):
         cands = _ascending(candidates)
         t = state.mc_probs(cands)
-        return cands[parallel_ranked_select(self.first.scorer(t), self.second.scorer(t), budget)]
+        first, second = self.constituents
+        return cands[parallel_ranked_select(first.scorer(t), second.scorer(t), budget)]
 
 
 class HybridStrategy(Strategy):
-    def __init__(self, spec: HybridSpec, first: Strategy, second: Strategy, name: str):
-        super().__init__(name)
-        self.spec = spec
-        self.first = first
-        self.second = second
+    """Split budget over a shared pool: the first constituent picks
+    budgets[0] from the pool, the second budgets[1] from what is left."""
+
+    def __init__(self, first: Strategy, second: Strategy, budgets):
+        if not isinstance(budgets, (list, tuple)) or len(budgets) != 2:
+            raise ValueError("hybrid strategy requires params.budgets = [b_first, b_second]")
+        b1, b2 = (_integer(v, "hybrid budgets") for v in budgets)
+        if min(b1, b2) < 0 or b1 + b2 < 1:
+            raise ValueError(f"hybrid budgets must be >= 0 with a total >= 1, got ({b1}, {b2})")
+        super().__init__(f"hybrid_{first.name}{b1}_{second.name}{b2}", first, second)
+        self.split = (b1, b2)
+
+    def budgets(self, budget):
+        if budget != sum(self.split):
+            raise ValueError(f"hybrid budgets {self.split[0]}+{self.split[1]} != round budget {budget}")
+        return list(self.split)
 
     def select(self, state, candidates, budget, seed):
-        if budget != self.spec.b_first + self.spec.b_second:
-            raise ValueError(
-                f"hybrid budgets {self.spec.b_first}+{self.spec.b_second} != round budget {budget}"
-            )
-        return hybrid_select(
-            self.spec, self.first.select, self.second.select, _ascending(candidates), state, seed
-        )
+        pool = _ascending(candidates)
+        (first, second), (b1, b2) = self.constituents, self.budgets(budget)
+        picked = first.select(state, pool, b1, (*seed, 1))
+        rest = pool[~np.isin(pool, picked)]
+        return np.concatenate([picked, second.select(state, rest, b2, (*seed, 2))])
 
 
 class _AlternatingStrategy(Strategy):
-    """Shared plumbing for structures that run one arm per round."""
+    """Structures that run one arm per round, explore or exploit; a
+    subclass only decides which, in `choose(state)`."""
 
-    def __init__(self, explore: Strategy, exploit: Strategy, name: str):
-        super().__init__(name)
-        self.explore = explore
-        self.exploit = exploit
-
-    def _tag(self, choice: str) -> str:
-        arm = self.explore if choice == EXPLORE else self.exploit
-        return f"{choice}:{arm.name}"
+    def select(self, state, candidates, budget, seed):
+        choice = self.choose(state)
+        explore, exploit = self.constituents
+        arm = explore if choice == EXPLORE else exploit
+        self.last_tag = f"{choice}:{arm.name}"
+        return arm.select(state, _ascending(candidates), budget, seed)
 
 
 class FeedbackStrategy(_AlternatingStrategy):
     """Explore/exploit gate driven by observed batch losses."""
 
-    def __init__(self, explore, exploit, name, lam=0.9, eps=0.1, n_window=5):
-        super().__init__(explore, exploit, name)
-        self.state = FeedbackState(lam=lam, eps=eps, n_window=n_window)
+    def __init__(self, explore: Strategy, exploit: Strategy, state: FeedbackState):
+        super().__init__(f"feedback_{explore.name}_{exploit.name}", explore, exploit)
+        self.state = state
 
-    def select(self, state, candidates, budget, seed):
-        batch, choice = feedback_select(
-            self.state, self.explore.select, self.exploit.select,
-            _ascending(candidates), budget, state, seed,
-        )
-        self.last_tag = self._tag(choice)
-        return batch
+    def choose(self, state):
+        return feedback_choice(self.state)
 
     def observe_loss(self, loss):
         self.state = feedback_update(self.state, loss)
@@ -309,54 +376,73 @@ class FeedbackStrategy(_AlternatingStrategy):
 class AnnealingStrategy(_AlternatingStrategy):
     """Explore/exploit gate following a fixed growing-phase schedule."""
 
-    def __init__(self, explore, exploit, name, sched: AnnealingSchedule):
-        super().__init__(explore, exploit, name)
-        self.sched = sched
+    def __init__(self, explore: Strategy, exploit: Strategy, **schedule):
+        self.sched = AnnealingSchedule(**schedule)
+        super().__init__(f"annealing_{explore.name}_{exploit.name}_r{self.sched.rate:g}", explore, exploit)
 
-    def select(self, state, candidates, budget, seed):
-        choice = annealing_phase(self.sched, state.round_index)
-        self.last_tag = self._tag(choice)
-        arm = self.explore if choice == EXPLORE else self.exploit
-        return arm.select(state, _ascending(candidates), budget, seed)
+    def choose(self, state):
+        return annealing_phase(self.sched, state.round_index)
 
 
 class RandomAlternateStrategy(_AlternatingStrategy):
     """Fair coin per round, keyed on (run seed, round)."""
 
-    def select(self, state, candidates, budget, seed):
-        choice = random_alternate(state.run_seed, state.round_index)
-        self.last_tag = self._tag(choice)
-        arm = self.explore if choice == EXPLORE else self.exploit
-        return arm.select(state, _ascending(candidates), budget, seed)
+    def __init__(self, explore: Strategy, exploit: Strategy):
+        super().__init__(f"random_alt_{explore.name}_{exploit.name}", explore, exploit)
+
+    def choose(self, state):
+        return random_alternate(state.run_seed, state.round_index)
 
 
-_BASE_KINDS = ("random", "k_centers", "badge", "facility_location", "disparity_min", "power_bald")
-_STRUCTURE_KINDS = ("series", "parallel", "parallel_ranked", "hybrid", "feedback", "annealing", "random_alternate")
+@dataclass(frozen=True)
+class Kind:
+    """One kind: `factory(*constituents, **params)` builds it. An int or
+    float default fixes a param's type; a None default marks a required
+    param the class checks. `arity` is None for one or more constituents."""
 
-KNOWN_KINDS = tuple(SCORERS) + _BASE_KINDS + _STRUCTURE_KINDS
+    factory: Callable[..., Strategy]
+    params: dict[str, object] = field(default_factory=dict)
+    arity: int | None = 0
 
 
-def _check_keys(spec: dict, allowed: set[str], where: str) -> None:
+KINDS: dict[str, Kind] = {
+    **{kind: Kind(functools.partial(ScoredStrategy, kind)) for kind in SCORERS},
+    "random": Kind(RandomStrategy),
+    "k_centers": Kind(KCentersStrategy),
+    "badge": Kind(BadgeStrategy),
+    "facility_location": Kind(FacilityLocationStrategy),
+    "disparity_min": Kind(DisparityMinStrategy),
+    "power_bald": Kind(PowerBaldStrategy, {"power": 1.0}),
+    "series": Kind(SeriesStrategy, {"kappas": None}, arity=None),
+    "parallel": Kind(ParallelStrategy, arity=2),
+    "parallel_ranked": Kind(ParallelRankedStrategy, arity=2),
+    "hybrid": Kind(HybridStrategy, {"budgets": None}, arity=2),
+    "feedback": Kind(
+        lambda a, b, **p: FeedbackStrategy(
+            a, b, FeedbackState(lam=p["lambda"], eps=p["epsilon"], n_window=p["n_window"])
+        ),
+        {"lambda": 0.9, "epsilon": 0.1, "n_window": 5},
+        arity=2,
+    ),
+    "annealing": Kind(AnnealingStrategy, {"t_initial": 5, "t_exploit": 5, "t_explore": 5, "rate": 1.5}, arity=2),
+    "random_alternate": Kind(RandomAlternateStrategy, arity=2),
+}
+
+KNOWN_KINDS = tuple(KINDS)
+
+
+def _check_keys(spec: dict, allowed, where: str) -> None:
     for key in spec:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
-def _params(spec: dict, allowed: set[str], kind: str) -> dict:
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"'params' of strategy {kind!r} must be an object")
-    _check_keys(params, allowed, f"params of strategy {kind!r}")
-    return params
-
-
-def _constituents(spec: dict, kind: str, count: int | None) -> list[dict]:
-    subs = spec.get("constituents", [])
-    if not isinstance(subs, list) or not all(isinstance(s, dict) for s in subs):
-        raise ValueError(f"'constituents' of strategy {kind!r} must be a list of strategy objects")
-    if count is not None and len(subs) != count:
-        raise ValueError(f"strategy {kind!r} needs exactly {count} constituents, got {len(subs)}")
-    return subs
+def _param(value, default, where: str):
+    if isinstance(default, int):
+        return _integer(value, where)
+    if isinstance(default, float):
+        return _number(value, where)
+    return value
 
 
 def build_strategy(spec: dict) -> Strategy:
@@ -371,96 +457,27 @@ def build_strategy(spec: dict) -> Strategy:
         raise ValueError("strategy spec must be an object")
     _check_keys(spec, {"kind", "params", "constituents", "name"}, "strategy spec")
     kind = spec.get("kind")
-    if kind not in KNOWN_KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}, expected one of {sorted(KNOWN_KINDS)}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r}, expected one of {sorted(KINDS)}")
+    schema = KINDS[kind]
     override = spec.get("name")
     if override is not None and (not isinstance(override, str) or not override):
         raise ValueError("strategy 'name' must be a nonempty string")
+    raw = spec.get("params", {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"'params' of strategy {kind!r} must be an object")
+    _check_keys(raw, schema.params, f"params of strategy {kind!r}")
+    subs = spec.get("constituents", [])
+    if not isinstance(subs, list) or not all(isinstance(s, dict) for s in subs):
+        raise ValueError(f"'constituents' of strategy {kind!r} must be a list of strategy objects")
+    if schema.arity is not None and len(subs) != schema.arity:
+        raise ValueError(f"strategy {kind!r} needs exactly {schema.arity} constituents, got {len(subs)}")
 
-    built: Strategy
-    if kind in SCORERS:
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = ScoredStrategy(kind)
-    elif kind == "random":
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = RandomStrategy()
-    elif kind == "power_bald":
-        p = _params(spec, {"power"}, kind)
-        _constituents(spec, kind, 0)
-        built = PowerBaldStrategy(float(p.get("power", 1.0)))
-    elif kind == "k_centers":
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = KCentersStrategy()
-    elif kind == "badge":
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = BadgeStrategy()
-    elif kind == "facility_location":
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = FacilityLocationStrategy()
-    elif kind == "disparity_min":
-        _params(spec, set(), kind)
-        _constituents(spec, kind, 0)
-        built = DisparityMinStrategy()
-    elif kind == "series":
-        p = _params(spec, {"kappas"}, kind)
-        if not isinstance(p.get("kappas"), list):
-            raise ValueError("series strategy requires params.kappas as a list")
-        kappas = [float(k) for k in p["kappas"]]
-        stages = [build_strategy(s) for s in _constituents(spec, kind, None)]
-        if len(stages) < 1:
-            raise ValueError("series strategy needs at least one constituent")
-        if len(stages) != len(kappas):
-            raise ValueError(f"series has {len(stages)} constituents but {len(kappas)} kappas")
-        name = "series_" + "_".join(s.name for s in stages) + "_k" + "x".join(f"{k:g}" for k in kappas)
-        built = SeriesStrategy(stages, kappas, name)
-    elif kind == "parallel":
-        _params(spec, set(), kind)
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        built = ParallelStrategy(a, b, f"parallel_{a.name}_{b.name}")
-    elif kind == "parallel_ranked":
-        _params(spec, set(), kind)
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        if not (isinstance(a, ScoredStrategy) and isinstance(b, ScoredStrategy)):
-            raise ValueError(
-                f"parallel_ranked constituents must be scorer kinds {sorted(SCORERS)}"
-            )
-        built = ParallelRankedStrategy(a, b, f"parallel_ranked_{a.name}_{b.name}")
-    elif kind == "hybrid":
-        p = _params(spec, {"budgets"}, kind)
-        if not isinstance(p.get("budgets"), list) or len(p["budgets"]) != 2:
-            raise ValueError("hybrid strategy requires params.budgets = [b_first, b_second]")
-        b1, b2 = (int(v) for v in p["budgets"])
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        built = HybridStrategy(HybridSpec(b1, b2), a, b, f"hybrid_{a.name}{b1}_{b.name}{b2}")
-    elif kind == "feedback":
-        p = _params(spec, {"lambda", "epsilon", "n_window"}, kind)
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        built = FeedbackStrategy(
-            a, b, f"feedback_{a.name}_{b.name}",
-            lam=float(p.get("lambda", 0.9)),
-            eps=float(p.get("epsilon", 0.1)),
-            n_window=int(p.get("n_window", 5)),
-        )
-    elif kind == "annealing":
-        p = _params(spec, {"t_initial", "t_exploit", "t_explore", "rate"}, kind)
-        sched = AnnealingSchedule(
-            t_initial=int(p.get("t_initial", 5)),
-            t_exploit=int(p.get("t_exploit", 5)),
-            t_explore=int(p.get("t_explore", 5)),
-            rate=float(p.get("rate", 1.5)),
-        )
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        built = AnnealingStrategy(a, b, f"annealing_{a.name}_{b.name}_r{sched.rate:g}", sched)
-    else:  # random_alternate
-        _params(spec, set(), kind)
-        a, b = (build_strategy(s) for s in _constituents(spec, kind, 2))
-        built = RandomAlternateStrategy(a, b, f"random_alt_{a.name}_{b.name}")
-
+    params = {
+        key: _param(raw.get(key, default), default, f"param {key!r} of strategy {kind!r}")
+        for key, default in schema.params.items()
+    }
+    built = schema.factory(*(build_strategy(s) for s in subs), **params)
     if override:
         built.name = override
         built.last_tag = override

@@ -32,18 +32,15 @@ from acqbench.aggregation import (
     EXPLORE,
     AnnealingSchedule,
     FeedbackState,
-    HybridSpec,
-    SeriesSpec,
     annealing_phase,
     exploit_lengths,
     feedback_update,
-    hybrid_select,
-    series_select,
 )
 from acqbench.cli import main
 from acqbench.datasets import make_blobs
 from acqbench.evaluation import compute_heatmap, t_score, winning_rate
 from acqbench.simulator import ExperimentConfig, run_experiment
+from acqbench.strategies import HybridStrategy, SeriesStrategy, Strategy
 
 TOL = 1e-9
 
@@ -88,32 +85,35 @@ def test_criterion_1_analytic_scorer_values():
 def test_criterion_2_structure_identity_laws():
     t0 = time.perf_counter()
 
-    def top_k_selector(scores):
-        def sel(state, candidates, b, seed):
-            s = scores[candidates]
-            order = np.lexsort((candidates, -s))
-            return candidates[order[:b]]
+    class TopK(Strategy):
+        """Fixed per-index scores, top-b with ties to the lower index."""
 
-        return sel
+        def __init__(self, scores):
+            super().__init__("top_k")
+            self.scores = scores
+
+        def select(self, state, candidates, b, seed):
+            order = np.lexsort((candidates, -self.scores[candidates]))
+            return candidates[order[:b]]
 
     g = np.random.default_rng(0)
     for i in range(50):
         b = int(g.integers(1, 5))
         m = int(g.integers(2, 5))
         pool = g.choice(200, size=b * m, replace=False).astype(np.int64)
-        sel_a = top_k_selector(g.random(200))
-        sel_b = top_k_selector(g.random(200))
+        sel_a = TopK(g.random(200))
+        sel_b = TopK(g.random(200))
 
-        one = series_select(SeriesSpec((sel_a, sel_b), (1.0, 1.0)), pool, b, None, (i,))
-        assert set(one.tolist()) == set(sel_a(None, pool, b, (0,)).tolist())
+        one = SeriesStrategy(sel_a, sel_b, kappas=(1.0, 1.0)).select(None, pool, b, (i,))
+        assert set(one.tolist()) == set(sel_a.select(None, pool, b, (0,)).tolist())
 
-        full = series_select(SeriesSpec((sel_a, sel_b), (float(m), 1.0)), pool, b, None, (i,))
-        assert set(full.tolist()) == set(sel_b(None, pool, b, (0,)).tolist())
+        full = SeriesStrategy(sel_a, sel_b, kappas=(float(m), 1.0)).select(None, pool, b, (i,))
+        assert set(full.tolist()) == set(sel_b.select(None, pool, b, (0,)).tolist())
 
         b1, b2 = int(g.integers(1, 4)), int(g.integers(1, 4))
         hpool = g.choice(200, size=b1 + b2 + int(g.integers(2, 8)), replace=False).astype(np.int64)
-        hyb = hybrid_select(HybridSpec(b1, b2), sel_a, sel_a, hpool, None, (i,))
-        assert set(hyb.tolist()) == set(sel_a(None, hpool, b1 + b2, (0,)).tolist())
+        hyb = HybridStrategy(sel_a, sel_a, [b1, b2]).select(None, hpool, b1 + b2, (i,))
+        assert set(hyb.tolist()) == set(sel_a.select(None, hpool, b1 + b2, (0,)).tolist())
     _report(2, t0, "3 laws x 50 instances, exact index sets")
 
 

@@ -48,6 +48,14 @@ class TestProbabilityTensor:
         t = _tensor([[0.5, 0.5], [1.0, 0.0]], n_passes=3)
         assert (t.n_passes, t.n, t.n_classes) == (3, 2, 2)
 
+    def test_callers_array_stays_writeable_and_detached(self):
+        data = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        t = ProbabilityTensor(data)
+        assert data.flags.writeable
+        data[0, 0] = [0.0, 1.0]
+        np.testing.assert_array_equal(t.data[0, 0], [1.0, 0.0])
+        assert not t.data.flags.writeable
+
 
 class TestEntropy:
     def test_uniform_four_classes(self):

@@ -1,51 +1,57 @@
-"""Tests for the selector combination structures."""
+"""Tests for the combination structures and their model-free policy.
 
-import math
+The structures are exercised through their `Strategy` classes with a
+fixed-score test leaf, so no model is needed.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from acqbench.acquisition import select_k_centers, select_top_k
 from acqbench.aggregation import (
     EXPLOIT,
     EXPLORE,
     AnnealingSchedule,
     FeedbackState,
-    HybridSpec,
-    SeriesSpec,
-    alternate_select,
     annealing_phase,
     check_selection,
     exploit_lengths,
     feedback_choice,
-    feedback_select,
     feedback_update,
-    hybrid_select,
     parallel_ranked_select,
-    parallel_select,
     random_alternate,
-    series_select,
 )
 from acqbench.rng import stream
+from acqbench.strategies import (
+    AnnealingStrategy,
+    FeedbackStrategy,
+    HybridStrategy,
+    ParallelStrategy,
+    SeriesStrategy,
+    Strategy,
+)
 
 
-def _score_selector(scores):
-    """Deterministic top-k over a fixed per-index score vector, low index on ties."""
-    scores = np.asarray(scores, dtype=float)
+class FixedScores(Strategy):
+    """Test leaf: top-b of a fixed per-index score vector, low index on ties."""
 
-    def sel(state, candidates, b, seed):
-        s = scores[candidates]
-        order = np.lexsort((candidates, -s))
-        return candidates[order[:b]]
+    def __init__(self, scores, name="fixed"):
+        super().__init__(name)
+        self.score_of = np.asarray(scores, dtype=float)
 
-    return sel
-
-
-def _lowest_index_selector(state, candidates, b, seed):
-    return np.sort(candidates)[:b]
+    def select(self, state, candidates, budget, seed):
+        cands = np.sort(np.asarray(candidates, dtype=np.int64))
+        return cands[select_top_k(self.score_of[cands], budget)]
 
 
-def _highest_index_selector(state, candidates, b, seed):
-    return np.sort(candidates)[::-1][:b]
+def _lowest_index():
+    return FixedScores(-np.arange(200.0), name="lowest")
+
+
+def _highest_index():
+    return FixedScores(np.arange(200.0), name="highest")
 
 
 class TestParallelRanked:
@@ -78,9 +84,9 @@ class TestParallelRanked:
 class TestParallel:
     def test_constant_scores_pick_half_minima(self):
         pool = np.arange(20, dtype=np.int64)
-        sel = _score_selector(np.zeros(20))
+        sel = FixedScores(np.zeros(20))
         seed = (0, 1, 2)
-        out = parallel_select(sel, sel, pool, 4, None, seed)
+        out = ParallelStrategy(sel, sel).select(None, pool, 4, seed)
         perm = stream(*seed, 0).permutation(len(pool))
         half_a, half_b = pool[perm[:10]], pool[perm[10:]]
         np.testing.assert_array_equal(out[:2], np.sort(half_a)[:2])
@@ -88,53 +94,54 @@ class TestParallel:
 
     def test_global_minimum_always_selected(self):
         pool = np.array([7, 3, 11, 5, 2, 9], dtype=np.int64)
-        sel = _score_selector(np.zeros(12))
+        sel = FixedScores(np.zeros(12))
         for s in range(10):
-            out = parallel_select(sel, sel, pool, 2, None, (s,))
+            out = ParallelStrategy(sel, sel).select(None, pool, 2, (s,))
             assert 2 in out
 
     def test_output_contract(self):
         pool = np.arange(10, 30, dtype=np.int64)
         g = np.random.default_rng(0)
-        sel_a = _score_selector(g.random(30))
-        sel_b = _score_selector(g.random(30))
-        out = parallel_select(sel_a, sel_b, pool, 6, None, (5,))
+        sel_a = FixedScores(g.random(30))
+        sel_b = FixedScores(g.random(30))
+        out = ParallelStrategy(sel_a, sel_b).select(None, pool, 6, (5,))
         check_selection(pool, out, 6)
 
     def test_deterministic(self):
         pool = np.arange(16, dtype=np.int64)
-        sel = _score_selector(np.random.default_rng(1).random(16))
-        a = parallel_select(sel, sel, pool, 4, None, (9, 9))
-        b = parallel_select(sel, sel, pool, 4, None, (9, 9))
+        sel = FixedScores(np.random.default_rng(1).random(16))
+        a = ParallelStrategy(sel, sel).select(None, pool, 4, (9, 9))
+        b = ParallelStrategy(sel, sel).select(None, pool, 4, (9, 9))
         np.testing.assert_array_equal(a, b)
 
     def test_odd_budget_rejected(self):
         with pytest.raises(ValueError):
-            parallel_select(_lowest_index_selector, _lowest_index_selector,
-                            np.arange(10, dtype=np.int64), 3, None, (0,))
+            ParallelStrategy(_lowest_index(), _lowest_index()).select(
+                None, np.arange(10, dtype=np.int64), 3, (0,)
+            )
 
 
 class TestSeriesSpec:
     def test_final_kappa_must_be_one(self):
         with pytest.raises(ValueError):
-            SeriesSpec((_lowest_index_selector,), (2.0,))
+            SeriesStrategy(_lowest_index(), kappas=(2.0,))
 
     def test_kappas_nonincreasing(self):
         with pytest.raises(ValueError):
-            SeriesSpec((_lowest_index_selector, _lowest_index_selector), (1.0, 2.0))
-        SeriesSpec((_lowest_index_selector, _lowest_index_selector), (2.0, 1.0))
+            SeriesStrategy(_lowest_index(), _lowest_index(), kappas=(1.0, 2.0))
+        SeriesStrategy(_lowest_index(), _lowest_index(), kappas=(2.0, 1.0))
 
     def test_kappas_at_least_one(self):
         with pytest.raises(ValueError):
-            SeriesSpec((_lowest_index_selector, _lowest_index_selector), (0.5, 1.0))
+            SeriesStrategy(_lowest_index(), _lowest_index(), kappas=(0.5, 1.0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            SeriesSpec((_lowest_index_selector,), (2.0, 1.0))
+            SeriesStrategy(_lowest_index(), kappas=(2.0, 1.0))
 
     def test_at_least_one_stage(self):
         with pytest.raises(ValueError):
-            SeriesSpec((), ())
+            SeriesStrategy(kappas=())
 
 
 class TestSeries:
@@ -143,11 +150,11 @@ class TestSeries:
         for _ in range(50):
             pool = g.choice(100, size=int(g.integers(6, 20)), replace=False).astype(np.int64)
             scores_a, scores_b = g.random(100), g.random(100)
-            sel_a, sel_b = _score_selector(scores_a), _score_selector(scores_b)
-            spec = SeriesSpec((sel_a, sel_b), (1.0, 1.0))
+            sel_a, sel_b = FixedScores(scores_a), FixedScores(scores_b)
+            series = SeriesStrategy(sel_a, sel_b, kappas=(1.0, 1.0))
             b = int(g.integers(1, len(pool) // 2 + 1))
-            out = series_select(spec, pool, b, None, (7,))
-            want = sel_a(None, pool, b, (0,))
+            out = series.select(None, pool, b, (7,))
+            want = sel_a.select(None, pool, b, (0,))
             assert set(out.tolist()) == set(want.tolist())
 
     def test_full_first_stage_reduces_to_second(self):
@@ -156,43 +163,42 @@ class TestSeries:
             b = int(g.integers(1, 5))
             m = int(g.integers(2, 5))
             pool = g.choice(100, size=b * m, replace=False).astype(np.int64)
-            sel_a = _score_selector(g.random(100))
-            sel_b = _score_selector(g.random(100))
-            spec = SeriesSpec((sel_a, sel_b), (float(m), 1.0))
-            out = series_select(spec, pool, b, None, (3,))
-            want = sel_b(None, pool, b, (0,))
+            sel_a = FixedScores(g.random(100))
+            sel_b = FixedScores(g.random(100))
+            series = SeriesStrategy(sel_a, sel_b, kappas=(float(m), 1.0))
+            out = series.select(None, pool, b, (3,))
+            want = sel_b.select(None, pool, b, (0,))
             assert set(out.tolist()) == set(want.tolist())
 
     def test_crafted_two_stage_pipeline(self):
         # 1-D line 0..11, farthest-first from a labeled point at 0 keeps
         # {11, 5, 8, 2} at kappa=2, b=2; then score=position keeps {11, 8}
-        from acqbench.acquisition import select_k_centers
-
         feats = np.arange(12, dtype=float).reshape(-1, 1)
         labeled = np.array([[0.0]])
 
-        def kc_stage(state, candidates, b, seed):
-            picks = select_k_centers(feats[candidates], labeled, b)
-            return candidates[picks]
+        class KCentersStage(Strategy):
+            def select(self, state, candidates, budget, seed):
+                return candidates[select_k_centers(feats[candidates], labeled, budget)]
 
-        spec = SeriesSpec((kc_stage, _score_selector(np.arange(12.0))), (2.0, 1.0))
-        out = series_select(spec, np.arange(12, dtype=np.int64), 2, None, (0,))
+        series = SeriesStrategy(KCentersStage("kc"), FixedScores(np.arange(12.0)), kappas=(2.0, 1.0))
+        out = series.select(None, np.arange(12, dtype=np.int64), 2, (0,))
         assert set(out.tolist()) == {11, 8}
 
     def test_first_stage_demand_exceeding_pool_rejected(self):
-        spec = SeriesSpec((_lowest_index_selector, _lowest_index_selector), (3.0, 1.0))
+        series = SeriesStrategy(_lowest_index(), _lowest_index(), kappas=(3.0, 1.0))
         with pytest.raises(ValueError):
-            series_select(spec, np.arange(5, dtype=np.int64), 2, None, (0,))
+            series.select(None, np.arange(5, dtype=np.int64), 2, (0,))
 
     def test_stage_seeds_differ(self):
         seen = []
 
-        def recording(state, candidates, b, seed):
-            seen.append(seed)
-            return np.sort(candidates)[:b]
+        class Recording(Strategy):
+            def select(self, state, candidates, budget, seed):
+                seen.append(seed)
+                return np.sort(candidates)[:budget]
 
-        spec = SeriesSpec((recording, recording), (2.0, 1.0))
-        series_select(spec, np.arange(10, dtype=np.int64), 2, None, (4,))
+        series = SeriesStrategy(Recording("rec"), Recording("rec"), kappas=(2.0, 1.0))
+        series.select(None, np.arange(10, dtype=np.int64), 2, (4,))
         assert seen[0] != seen[1]
 
 
@@ -201,39 +207,37 @@ class TestHybrid:
         g = np.random.default_rng(2)
         for _ in range(50):
             pool = g.choice(100, size=int(g.integers(8, 25)), replace=False).astype(np.int64)
-            sel = _score_selector(g.random(100))
+            sel = FixedScores(g.random(100))
             b1 = int(g.integers(1, 4))
             b2 = int(g.integers(1, 4))
-            out = hybrid_select(HybridSpec(b1, b2), sel, sel, pool, None, (1,))
-            want = sel(None, pool, b1 + b2, (0,))
+            out = HybridStrategy(sel, sel, [b1, b2]).select(None, pool, b1 + b2, (1,))
+            want = sel.select(None, pool, b1 + b2, (0,))
             assert set(out.tolist()) == set(want.tolist())
 
     def test_zero_first_budget_is_second_alone(self):
         pool = np.arange(10, dtype=np.int64)
-        sel_b = _highest_index_selector
-        out = hybrid_select(HybridSpec(0, 3), _lowest_index_selector, sel_b, pool, None, (0,))
-        np.testing.assert_array_equal(out, sel_b(None, pool, 3, (0,)))
+        sel_b = _highest_index()
+        out = HybridStrategy(_lowest_index(), sel_b, [0, 3]).select(None, pool, 3, (0,))
+        np.testing.assert_array_equal(out, sel_b.select(None, pool, 3, (0,)))
 
     def test_crafted_two_step(self):
         # A takes the two lowest indices, B then takes the two highest left
         pool = np.array([4, 1, 9, 6, 3], dtype=np.int64)
-        out = hybrid_select(
-            HybridSpec(2, 2), _lowest_index_selector, _highest_index_selector, pool, None, (0,)
-        )
+        out = HybridStrategy(_lowest_index(), _highest_index(), [2, 2]).select(None, pool, 4, (0,))
         np.testing.assert_array_equal(out, [1, 3, 9, 6])
 
     def test_disjoint_picks(self):
         g = np.random.default_rng(3)
         pool = np.arange(12, dtype=np.int64)
-        sel = _score_selector(g.random(12))
-        out = hybrid_select(HybridSpec(3, 3), sel, sel, pool, None, (2,))
+        sel = FixedScores(g.random(12))
+        out = HybridStrategy(sel, sel, [3, 3]).select(None, pool, 6, (2,))
         check_selection(pool, out, 6)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            HybridSpec(-1, 2)
+            HybridStrategy(_lowest_index(), _lowest_index(), [-1, 2])
         with pytest.raises(ValueError):
-            HybridSpec(0, 0)
+            HybridStrategy(_lowest_index(), _lowest_index(), [0, 0])
 
 
 class TestFeedbackState:
@@ -307,17 +311,13 @@ class TestFeedbackChoice:
 
     def test_select_dispatches(self):
         pool = np.arange(8, dtype=np.int64)
-        batch, choice = feedback_select(
-            FeedbackState(beta=0.5), _lowest_index_selector, _highest_index_selector,
-            pool, 2, None, (0,),
-        )
-        assert choice == EXPLORE
+        s = FeedbackStrategy(_lowest_index(), _highest_index(), FeedbackState(beta=0.5))
+        batch = s.select(None, pool, 2, (0,))
+        assert s.last_tag == f"{EXPLORE}:lowest"
         np.testing.assert_array_equal(batch, [0, 1])
-        batch, choice = feedback_select(
-            FeedbackState(beta=0.7), _lowest_index_selector, _highest_index_selector,
-            pool, 2, None, (0,),
-        )
-        assert choice == EXPLOIT
+        s = FeedbackStrategy(_lowest_index(), _highest_index(), FeedbackState(beta=0.7))
+        batch = s.select(None, pool, 2, (0,))
+        assert s.last_tag == f"{EXPLOIT}:highest"
         np.testing.assert_array_equal(batch, [7, 6])
 
 
@@ -380,18 +380,13 @@ class TestRandomAlternate:
 
 class TestAlternateSelect:
     def test_dispatch(self):
+        # rounds 1 and 2 of a one-round-phase schedule: explore, then exploit
         pool = np.arange(6, dtype=np.int64)
-        out = alternate_select(EXPLORE, _lowest_index_selector, _highest_index_selector,
-                               pool, 2, None, (0,))
+        s = AnnealingStrategy(_lowest_index(), _highest_index(), t_initial=1, t_exploit=1, t_explore=1, rate=1.0)
+        out = s.select(SimpleNamespace(round_index=1), pool, 2, (0,))
         np.testing.assert_array_equal(out, [0, 1])
-        out = alternate_select(EXPLOIT, _lowest_index_selector, _highest_index_selector,
-                               pool, 2, None, (0,))
+        out = s.select(SimpleNamespace(round_index=2), pool, 2, (0,))
         np.testing.assert_array_equal(out, [5, 4])
-
-    def test_unknown_choice_rejected(self):
-        with pytest.raises(ValueError):
-            alternate_select("both", _lowest_index_selector, _highest_index_selector,
-                             np.arange(4, dtype=np.int64), 1, None, (0,))
 
 
 class TestCheckSelection:

@@ -100,6 +100,63 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="dropout"):
             validate_config(cfg)
 
+    @staticmethod
+    def _with_strategy(strategy, b=4):
+        cfg = _base_config("/tmp/x")
+        cfg["strategy"] = strategy
+        cfg["al"]["b"] = b
+        return cfg
+
+    def test_fractional_int_param_rejected(self):
+        cfg = self._with_strategy({"kind": "annealing", "params": {"t_initial": 2.7},
+                                   "constituents": [{"kind": "random"}, {"kind": "bald"}]})
+        with pytest.raises(ValueError, match="t_initial"):
+            validate_config(cfg)
+
+    def test_integral_float_int_param_accepted(self):
+        cfg = self._with_strategy({"kind": "annealing", "params": {"t_initial": 2.0},
+                                   "constituents": [{"kind": "random"}, {"kind": "bald"}]})
+        validate_config(cfg)
+
+    def test_bool_hybrid_budget_rejected(self):
+        cfg = self._with_strategy({"kind": "hybrid", "params": {"budgets": [True, 9]},
+                                   "constituents": [{"kind": "bald"}, {"kind": "random"}]}, b=10)
+        with pytest.raises(ValueError, match="budgets"):
+            validate_config(cfg)
+
+    def test_bool_float_param_rejected(self):
+        cfg = self._with_strategy({"kind": "power_bald", "params": {"power": True}})
+        with pytest.raises(ValueError, match="power"):
+            validate_config(cfg)
+
+    def test_nonpositive_power_rejected(self):
+        cfg = self._with_strategy({"kind": "power_bald", "params": {"power": -1}})
+        with pytest.raises(ValueError, match="power"):
+            validate_config(cfg)
+
+    def test_hybrid_budgets_must_sum_to_round_budget(self):
+        cfg = self._with_strategy({"kind": "hybrid", "params": {"budgets": [2, 2]},
+                                   "constituents": [{"kind": "bald"}, {"kind": "random"}]}, b=10)
+        with pytest.raises(ValueError, match="2\\+2 != round budget 10"):
+            validate_config(cfg)
+
+    def test_parallel_needs_even_round_budget(self):
+        cfg = self._with_strategy({"kind": "parallel",
+                                   "constituents": [{"kind": "bald"}, {"kind": "random"}]}, b=9)
+        with pytest.raises(ValueError, match="even budget"):
+            validate_config(cfg)
+
+    def test_budget_rule_checked_inside_series(self):
+        # the series hands round(2 * 5) = 10 to the hybrid stage, not 4
+        hybrid = {"kind": "hybrid", "params": {"budgets": [2, 2]},
+                  "constituents": [{"kind": "bald"}, {"kind": "random"}]}
+        cfg = self._with_strategy({"kind": "series", "params": {"kappas": [2, 1]},
+                                   "constituents": [hybrid, {"kind": "bald"}]}, b=5)
+        with pytest.raises(ValueError, match="2\\+2 != round budget 10"):
+            validate_config(cfg)
+        cfg["al"]["b"] = 2
+        validate_config(cfg)
+
     def test_build_experiment_shares_split_across_run_seeds(self):
         cfg = validate_config(_base_config("/tmp/x"))
         a = build_experiment(cfg, 0)

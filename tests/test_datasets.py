@@ -24,6 +24,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 2]), 2)
 
+    def test_callers_arrays_stay_writeable_and_detached(self):
+        X, y = np.zeros((3, 2)), np.array([0, 1, 0])
+        ds = Dataset(X, y, 2)
+        assert X.flags.writeable and y.flags.writeable
+        X[0, 0], y[0] = 9.0, 1
+        assert ds.X[0, 0] == 0.0 and ds.y[0] == 0
+        assert not ds.X.flags.writeable and not ds.y.flags.writeable
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf, 0.0]]), np.array([0]), 2)

@@ -208,6 +208,15 @@ class TestMatrixType:
         with pytest.raises(ValueError):
             WinningRateMatrix(("a", "b"), np.zeros((3, 3)), 2.776)
 
+    def test_callers_arrays_stay_writeable_and_detached(self):
+        m, acc = np.array([[0.0, 0.4], [0.2, 0.0]]), np.array([[0.5, 0.6]])
+        hm = WinningRateMatrix(("a", "b"), m, 2.776)
+        table = AccuracyTable("bald", (0, 1), acc)
+        assert m.flags.writeable and acc.flags.writeable
+        m[0, 1], acc[0, 0] = 1.0, 1.0
+        assert hm.matrix[0, 1] == 0.4 and table.data[0, 0] == 0.5
+        assert not hm.matrix.flags.writeable and not table.data.flags.writeable
+
 
 class TestRendering:
     def _heatmap(self):

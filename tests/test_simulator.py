@@ -264,3 +264,12 @@ class TestConfigValidation:
                         np.arange(30) % 3, 3)
         with pytest.raises(ValueError):
             _config({"kind": "random"}, test_ds=three)
+
+    def test_strategy_budget_rule_checked_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the budget rule was checked")
+
+        monkeypatch.setattr(mdl, "train", no_training)
+        spec = {"kind": "parallel", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        with pytest.raises(ValueError, match="even budget"):
+            run_experiment(_config(spec, budget=3))
