@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_datasets, build_experiment, validate_config
+from .config import build_datasets, build_experiment, check_seeds, validate_config
 from .evaluation import (
     DEFAULT_CRITICAL,
     AccuracyTable,
@@ -73,8 +73,8 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+        return check_seeds(list(range(int(lo), int(hi) + 1)))
+    return check_seeds([int(s) for s in text.split(",") if s.strip()])
 
 
 def _parse_values(text: str) -> list[float]:

@@ -1,8 +1,10 @@
 """Config file schema: validation with exact key diagnostics, and builders.
 
-A config is one JSON object describing one strategy's experiment. Unknown
-keys anywhere are rejected by name before any work happens; missing
-optional keys get the documented defaults. `build_experiment` turns a
+A config is one JSON object describing one strategy's experiment. Every
+section goes through `strategies.check_fields`, the checker strategy
+params use too: unknown keys are rejected by name before any work happens,
+and missing optional keys get the defaults of the classes that take them
+(`ExperimentConfig`, `TrainConfig`, `MCConfig`). `build_experiment` turns a
 validated config plus a run seed into an ExperimentConfig; the train/test
 split is derived from the dataset seed, not the run seed, so every run of
 every strategy shares the same split and stays seed-paired.
@@ -11,153 +13,97 @@ every strategy shares the same split and stays seed-paired.
 from __future__ import annotations
 
 import copy
+import inspect
 from typing import Any
 
 import numpy as np
 
+from . import model as mdl
 from .datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from .rng import NS_DATASET, derive_seed
 from .simulator import ExperimentConfig
-from .strategies import build_strategy
+from .strategies import _integer, build_strategy, check_fields
 
-DATASET_DEFAULTS: dict[str, dict[str, Any]] = {
-    "grid": {"cells_per_side": 4, "n_per_cell": 25, "spread": 0.12, "seed": 0, "test_fraction": 0.25},
-    "blobs": {"n_per_class": None, "centers": None, "spread": None, "seed": 0, "test_fraction": 0.25},
-    "csv": {"path": None, "label_column": None, "seed": 0, "test_fraction": 0.25},
+# `check_fields` schemas: key -> default, or the type of a required value.
+_SPLIT = {"seed": 0, "test_fraction": 0.25}
+DATASETS: dict[str, dict[str, Any]] = {
+    "grid": {k: p.default for k, p in inspect.signature(make_grid_toy).parameters.items()} | _SPLIT,
+    "blobs": {"n_per_class": int, "centers": list, "spread": float, **_SPLIT},
+    "csv": {"path": str, "label_column": None, **_SPLIT},
 }
-MODEL_DEFAULTS = {"hidden": 32, "dropout": 0.5}
-TRAIN_DEFAULTS = {"lr": 0.001, "epochs": 40, "minibatch": 32}
-MC_DEFAULTS = {"n_passes": 5}
-AL_DEFAULTS = {"M": None, "T": None, "b": None, "pool_size": 1_000_000_000}
+SECTIONS: dict[str, dict[str, Any]] = {
+    "model": {"hidden": ExperimentConfig.hidden, "dropout": ExperimentConfig.dropout},
+    "train": {"lr": mdl.TrainConfig.lr, "epochs": mdl.TrainConfig.epochs, "minibatch": mdl.TrainConfig.minibatch},
+    "mc": {"n_passes": mdl.MCConfig.n_passes},
+    "al": {"M": int, "T": int, "b": int, "pool_size": ExperimentConfig.pool_size},
+}
+CONFIG = {
+    "dataset": dict, "model": {}, "train": {}, "mc": {}, "al": dict,
+    "strategy": None, "seeds": None, "output_dir": str,
+}
 
 
-def _fail(msg: str):
-    raise ValueError(f"config error: {msg}")
+def check_seeds(seeds: list) -> list[int]:
+    """A run seed list: nonempty, integers, no duplicates."""
+    if not isinstance(seeds, list) or not seeds:
+        raise ValueError(f"'seeds' must be a nonempty list of integers, got {seeds!r}")
+    seeds = [_integer(s, "'seeds' entries") for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"'seeds' contains duplicates: {seeds}")
+    return seeds
 
 
-def _section(raw: dict, key: str, defaults: dict, required: bool, label: str | None = None) -> dict:
-    label = label or key
-    if key not in raw:
-        if required:
-            _fail(f"missing section '{label}'")
-        return copy.deepcopy({k: v for k, v in defaults.items() if v is not None})
-    section = raw[key]
-    if not isinstance(section, dict):
-        _fail(f"section '{label}' must be an object")
-    for sub in section:
-        if sub not in defaults:
-            _fail(f"unknown key '{sub}' in '{label}'")
-    merged = copy.deepcopy(defaults)
-    merged.update(section)
-    for sub, val in merged.items():
-        if val is None:
-            _fail(f"missing key '{sub}' in '{label}'")
-    return merged
-
-
-def _check_int(section: dict, key: str, where: str, lo: int | None = None) -> None:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"'{where}.{key}' must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        _fail(f"'{where}.{key}' must be >= {lo}, got {v}")
-
-
-def _check_num(section: dict, key: str, where: str, lo: float | None = None, strict: bool = False) -> None:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"'{where}.{key}' must be a number, got {v!r}")
-    if lo is not None and (v <= lo if strict else v < lo):
-        _fail(f"'{where}.{key}' must be {'>' if strict else '>='} {lo}, got {v}")
+def _at_least(section: dict, where: str, **bounds) -> None:
+    for key, lo in bounds.items():
+        if key in section and section[key] < lo:
+            raise ValueError(f"'{where}.{key}' must be >= {lo}, got {section[key]}")
 
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict and fill defaults; raises on any violation."""
-    if not isinstance(raw, dict):
-        _fail("top level must be an object")
-    allowed = {"dataset", "model", "train", "mc", "al", "strategy", "seeds", "output_dir"}
-    for key in raw:
-        if key not in allowed:
-            _fail(f"unknown top-level key '{key}'")
-
-    if "dataset" not in raw or not isinstance(raw["dataset"], dict):
-        _fail("missing or invalid section 'dataset'")
-    for sub in raw["dataset"]:
-        if sub not in ("kind", "params"):
-            _fail(f"unknown key '{sub}' in 'dataset'")
-    kind = raw["dataset"].get("kind")
-    if kind not in DATASET_DEFAULTS:
-        _fail(f"'dataset.kind' must be one of {sorted(DATASET_DEFAULTS)}, got {kind!r}")
-    params_raw = raw["dataset"].get("params", {})
-    if not isinstance(params_raw, dict):
-        _fail("'dataset.params' must be an object")
-    params = _section({"params": params_raw}, "params", DATASET_DEFAULTS[kind], required=True, label="dataset.params")
-    _check_num(params, "test_fraction", "dataset.params")
-    if not 0.0 < params["test_fraction"] < 1.0:
-        _fail(f"'dataset.params.test_fraction' must be in (0, 1), got {params['test_fraction']}")
-    _check_int(params, "seed", "dataset.params")
-    if kind == "grid":
-        _check_int(params, "cells_per_side", "dataset.params", lo=2)
-        _check_int(params, "n_per_cell", "dataset.params", lo=1)
-        _check_num(params, "spread", "dataset.params", lo=0.0)
-    elif kind == "blobs":
-        _check_int(params, "n_per_class", "dataset.params", lo=1)
-        _check_num(params, "spread", "dataset.params", lo=0.0)
-        if not isinstance(params["centers"], list):
-            _fail("'dataset.params.centers' must be a list of coordinate lists")
-    else:
-        if not isinstance(params["path"], str):
-            _fail("'dataset.params.path' must be a string")
-        if not isinstance(params["label_column"], (str, int)) or isinstance(params["label_column"], bool):
-            _fail("'dataset.params.label_column' must be a column name or index")
-
-    model = _section(raw, "model", MODEL_DEFAULTS, required=False)
-    _check_int(model, "hidden", "model", lo=1)
-    _check_num(model, "dropout", "model", lo=0.0)
-    if model["dropout"] >= 1.0:
-        _fail(f"'model.dropout' must be < 1, got {model['dropout']}")
-
-    train = _section(raw, "train", TRAIN_DEFAULTS, required=False)
-    _check_num(train, "lr", "train", lo=0.0, strict=True)
-    _check_int(train, "epochs", "train", lo=0)
-    _check_int(train, "minibatch", "train", lo=1)
-
-    mc = _section(raw, "mc", MC_DEFAULTS, required=False)
-    _check_int(mc, "n_passes", "mc", lo=1)
-
-    al = _section(raw, "al", AL_DEFAULTS, required=True)
-    for key in ("M", "T", "b", "pool_size"):
-        _check_int(al, key, "al", lo=1)
-
-    if "strategy" not in raw:
-        _fail("missing section 'strategy'")
     try:
-        build_strategy(raw["strategy"]).check_budget(al["b"])
+        return _validate(raw)
     except ValueError as e:
-        _fail(f"invalid 'strategy': {e}")
+        raise ValueError(f"config error: {e}") from None
 
-    seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        _fail("'seeds' must be a nonempty list of integers")
-    for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, int):
-            _fail(f"'seeds' entries must be integers, got {s!r}")
-    if len(set(seeds)) != len(seeds):
-        _fail(f"'seeds' contains duplicates: {seeds}")
 
-    out = raw.get("output_dir")
-    if not isinstance(out, str) or not out:
-        _fail("'output_dir' must be a nonempty string")
+def _validate(raw: dict) -> dict:
+    cfg = check_fields(raw, CONFIG, "config")
+    dataset = check_fields(cfg["dataset"], {"kind": str, "params": {}}, "dataset")
+    kind = dataset["kind"]
+    if kind not in DATASETS:
+        raise ValueError(f"'dataset.kind' must be one of {sorted(DATASETS)}, got {kind!r}")
+    params = check_fields(dataset["params"], DATASETS[kind], "dataset.params")
+    if not 0.0 < params["test_fraction"] < 1.0:
+        raise ValueError(f"'dataset.params.test_fraction' must be in (0, 1), got {params['test_fraction']}")
+    _at_least(params, "dataset.params", cells_per_side=2, n_per_cell=1, n_per_class=1, spread=0.0)
+    if kind == "csv" and type(params["label_column"]) not in (str, int):
+        raise ValueError("'dataset.params.label_column' must be a column name or index")
 
+    out = {"dataset": {"kind": kind, "params": params}}
+    for key, schema in SECTIONS.items():
+        out[key] = check_fields(cfg[key], schema, key)
+    _at_least(out["model"], "model", hidden=1, dropout=0.0)
+    if out["model"]["dropout"] >= 1.0:
+        raise ValueError(f"'model.dropout' must be < 1, got {out['model']['dropout']}")
+    for key, make in (("train", mdl.TrainConfig), ("mc", mdl.MCConfig)):
+        try:
+            make(**out[key])
+        except ValueError as e:
+            raise ValueError(f"invalid '{key}': {e}") from None
+    _at_least(out["al"], "al", M=1, T=1, b=1, pool_size=1)
+
+    try:
+        build_strategy(cfg["strategy"]).check_budget(out["al"]["b"])
+    except ValueError as e:
+        raise ValueError(f"invalid 'strategy': {e}") from None
+    if not cfg["output_dir"]:
+        raise ValueError("'output_dir' must be a nonempty string")
     return {
-        "dataset": {"kind": kind, "params": params},
-        "model": model,
-        "train": train,
-        "mc": mc,
-        "al": al,
-        "strategy": copy.deepcopy(raw["strategy"]),
-        "seeds": list(seeds),
-        "output_dir": out,
+        **out,
+        "strategy": copy.deepcopy(cfg["strategy"]),
+        "seeds": check_seeds(cfg["seeds"]),
+        "output_dir": cfg["output_dir"],
     }
 
 
@@ -182,8 +128,8 @@ def build_experiment(cfg: dict, seed: int) -> ExperimentConfig:
         strategy_spec=cfg["strategy"],
         seed=int(seed),
         hidden=cfg["model"]["hidden"],
-        dropout=float(cfg["model"]["dropout"]),
-        lr=float(cfg["train"]["lr"]),
+        dropout=cfg["model"]["dropout"],
+        lr=cfg["train"]["lr"],
         epochs=cfg["train"]["epochs"],
         minibatch=cfg["train"]["minibatch"],
         n_passes=cfg["mc"]["n_passes"],

@@ -128,6 +128,8 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
     """Pairwise winning rates for congruent, seed-paired accuracy tables."""
     if not tables:
         raise ValueError("no tables")
+    if not (math.isfinite(critical) and critical >= 0.0):
+        raise ValueError(f"critical t value must be finite and >= 0, got {critical}")
     names = tuple(t.name for t in tables)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategy names {names}")

@@ -63,10 +63,10 @@ class ExperimentConfig:
     seed: int
     hidden: int = 32
     dropout: float = 0.5
-    lr: float = 0.001
-    epochs: int = 40
-    minibatch: int = 32
-    n_passes: int = 5
+    lr: float = mdl.TrainConfig.lr
+    epochs: int = mdl.TrainConfig.epochs
+    minibatch: int = mdl.TrainConfig.minibatch
+    n_passes: int = mdl.MCConfig.n_passes
     initial_labeled: int = 10
     rounds: int = 10
     budget: int = 10

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -256,8 +256,6 @@ class SeriesStrategy(Strategy):
     and the last stage emits the round budget."""
 
     def __init__(self, *stages: Strategy, kappas):
-        if not isinstance(kappas, (list, tuple)):
-            raise ValueError("series strategy requires params.kappas as a list")
         self.kappas = tuple(_number(k, "series kappas") for k in kappas)
         if not stages or len(stages) != len(self.kappas):
             raise ValueError(f"series needs one kappa per constituent, got {len(self.kappas)} for {len(stages)}")
@@ -326,7 +324,7 @@ class HybridStrategy(Strategy):
     budgets[0] from the pool, the second budgets[1] from what is left."""
 
     def __init__(self, first: Strategy, second: Strategy, budgets):
-        if not isinstance(budgets, (list, tuple)) or len(budgets) != 2:
+        if len(budgets) != 2:
             raise ValueError("hybrid strategy requires params.budgets = [b_first, b_second]")
         b1, b2 = (_integer(v, "hybrid budgets") for v in budgets)
         if min(b1, b2) < 0 or b1 + b2 < 1:
@@ -394,11 +392,45 @@ class RandomAlternateStrategy(_AlternatingStrategy):
         return random_alternate(state.run_seed, state.round_index)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def check_fields(raw, schema: dict, where: str) -> dict:
+    """`raw` checked against `schema` (key -> default), defaults filled in.
+
+    An int default makes the value an integer (bools fail, integral floats
+    become ints); a float default a finite number (bools, strings, NaN and
+    +/-inf fail). A bare type (int, float, list, str, dict) marks a required
+    value of that type, and None a required value its owner checks; a {},
+    [] or str default fixes the type of an optional value. Raises ValueError
+    naming an unknown, missing or mistyped key.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"'{where}' must be an object")
+    for key in raw:
+        if key not in schema:
+            raise ValueError(f"unknown key {key!r} in '{where}'")
+    out = {}
+    for key, default in schema.items():
+        kind = default if isinstance(default, type) else type(default)
+        value, label = raw.get(key, default), f"'{where}.{key}'"
+        if key not in raw and (default is None or isinstance(default, type)):
+            raise ValueError(f"missing key {key!r} in '{where}'")
+        if kind is int:
+            value = _integer(value, label)
+        elif kind is float:
+            value = _number(value, label)
+        elif kind in _JSON_TYPES and not isinstance(value, kind):
+            raise ValueError(f"{label} must be {_JSON_TYPES[kind]}, got {value!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class Kind:
-    """One kind: `factory(*constituents, **params)` builds it. An int or
-    float default fixes a param's type; a None default marks a required
-    param the class checks. `arity` is None for one or more constituents."""
+    """One kind: `factory(*constituents, **params)` builds it from params
+    checked against the `check_fields` schema `params`. `arity` is None for
+    one or more constituents."""
 
     factory: Callable[..., Strategy]
     params: dict[str, object] = field(default_factory=dict)
@@ -413,36 +445,24 @@ KINDS: dict[str, Kind] = {
     "facility_location": Kind(FacilityLocationStrategy),
     "disparity_min": Kind(DisparityMinStrategy),
     "power_bald": Kind(PowerBaldStrategy, {"power": 1.0}),
-    "series": Kind(SeriesStrategy, {"kappas": None}, arity=None),
+    "series": Kind(SeriesStrategy, {"kappas": list}, arity=None),
     "parallel": Kind(ParallelStrategy, arity=2),
     "parallel_ranked": Kind(ParallelRankedStrategy, arity=2),
-    "hybrid": Kind(HybridStrategy, {"budgets": None}, arity=2),
+    "hybrid": Kind(HybridStrategy, {"budgets": list}, arity=2),
     "feedback": Kind(
         lambda a, b, **p: FeedbackStrategy(
             a, b, FeedbackState(lam=p["lambda"], eps=p["epsilon"], n_window=p["n_window"])
         ),
-        {"lambda": 0.9, "epsilon": 0.1, "n_window": 5},
+        {"lambda": FeedbackState.lam, "epsilon": FeedbackState.eps, "n_window": FeedbackState.n_window},
         arity=2,
     ),
-    "annealing": Kind(AnnealingStrategy, {"t_initial": 5, "t_exploit": 5, "t_explore": 5, "rate": 1.5}, arity=2),
+    "annealing": Kind(AnnealingStrategy, {f.name: f.default for f in fields(AnnealingSchedule)}, arity=2),
     "random_alternate": Kind(RandomAlternateStrategy, arity=2),
 }
 
 KNOWN_KINDS = tuple(KINDS)
 
-
-def _check_keys(spec: dict, allowed, where: str) -> None:
-    for key in spec:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {where}")
-
-
-def _param(value, default, where: str):
-    if isinstance(default, int):
-        return _integer(value, where)
-    if isinstance(default, float):
-        return _number(value, where)
-    return value
+_SPEC = {"kind": str, "params": {}, "constituents": [], "name": ""}
 
 
 def build_strategy(spec: dict) -> Strategy:
@@ -453,32 +473,18 @@ def build_strategy(spec: dict) -> Strategy:
     allows, name overrides the derived one. Raises ValueError naming the
     offending key on any schema violation.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("strategy spec must be an object")
-    _check_keys(spec, {"kind", "params", "constituents", "name"}, "strategy spec")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in KINDS:
+    node = check_fields(spec, _SPEC, "strategy")
+    kind = node["kind"]
+    if kind not in KINDS:
         raise ValueError(f"unknown strategy kind {kind!r}, expected one of {sorted(KINDS)}")
     schema = KINDS[kind]
-    override = spec.get("name")
-    if override is not None and (not isinstance(override, str) or not override):
+    if "name" in spec and not node["name"]:
         raise ValueError("strategy 'name' must be a nonempty string")
-    raw = spec.get("params", {})
-    if not isinstance(raw, dict):
-        raise ValueError(f"'params' of strategy {kind!r} must be an object")
-    _check_keys(raw, schema.params, f"params of strategy {kind!r}")
-    subs = spec.get("constituents", [])
-    if not isinstance(subs, list) or not all(isinstance(s, dict) for s in subs):
-        raise ValueError(f"'constituents' of strategy {kind!r} must be a list of strategy objects")
+    subs = node["constituents"]
     if schema.arity is not None and len(subs) != schema.arity:
         raise ValueError(f"strategy {kind!r} needs exactly {schema.arity} constituents, got {len(subs)}")
-
-    params = {
-        key: _param(raw.get(key, default), default, f"param {key!r} of strategy {kind!r}")
-        for key, default in schema.params.items()
-    }
+    params = check_fields(node["params"], schema.params, f"{kind}.params")
     built = schema.factory(*(build_strategy(s) for s in subs), **params)
-    if override:
-        built.name = override
-        built.last_tag = override
+    if node["name"]:
+        built.name = built.last_tag = node["name"]
     return built

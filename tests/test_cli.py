@@ -157,6 +157,26 @@ class TestValidateConfig:
         cfg["al"]["b"] = 2
         validate_config(cfg)
 
+    @pytest.mark.parametrize("section,key", [("train", "lr"), ("model", "dropout"), ("params", "spread")])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, section, key, literal):
+        cfg = _base_config("/tmp/x")
+        (cfg["dataset"] if section == "params" else cfg)[section][key] = json.loads(literal)
+        with pytest.raises(ValueError, match=key):
+            validate_config(cfg)
+
+    def test_integral_float_int_setting_accepted(self):
+        cfg = _base_config("/tmp/x")
+        cfg["al"]["M"] = 2.0
+        al = validate_config(cfg)["al"]
+        assert al["M"] == 2 and type(al["M"]) is int
+
+    def test_fractional_int_setting_rejected(self):
+        cfg = _base_config("/tmp/x")
+        cfg["al"]["M"] = 2.5
+        with pytest.raises(ValueError, match="'al.M'"):
+            validate_config(cfg)
+
     def test_build_experiment_shares_split_across_run_seeds(self):
         cfg = validate_config(_base_config("/tmp/x"))
         a = build_experiment(cfg, 0)
@@ -237,6 +257,17 @@ class TestSweepCommand:
         dirs = sorted(p.name for p in (tmp_path / "out" / "entropy").iterdir())
         assert dirs == ["3", "4", "5"]
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("seeds", ["3..1", ","])
+    def test_bad_seed_list_exits_one(self, tmp_path, capsys, command, seeds):
+        cfg = _base_config(tmp_path / "out")
+        cfg["strategy"] = {"kind": "annealing", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        extra = ["--parameter", "rate", "--values", "2"] if command == "ablate" else []
+        rc = main([command, "--config", _write_config(tmp_path, cfg), "--seeds", seeds, *extra])
+        assert rc == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "seq"), "--jobs", "1"])
@@ -290,6 +321,14 @@ class TestCompareCommand:
 
         for soft_row, hard_row in zip(matrix(tmp_path / "soft"), matrix(tmp_path / "hard")):
             assert all(h <= s for s, h in zip(soft_row, hard_row))
+
+    @pytest.mark.parametrize("critical", ["-1", "nan"])
+    def test_bad_critical_exits_one(self, tmp_path, capsys, critical):
+        out = self._results_tree(tmp_path)
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h"), "--critical", critical])
+        assert rc == 1
+        assert "critical" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
 
     def test_missing_tree_fails(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "nothing")])

@@ -197,6 +197,13 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             compute_heatmap([_table("a", data), _table("a", data)])
 
+    @pytest.mark.parametrize("critical", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_critical_rejected(self, critical):
+        # at -1 every pair beats each other in a tied round (m + m^T = 2); NaN makes nobody win
+        data = np.ones((2, 3))
+        with pytest.raises(ValueError, match="critical"):
+            compute_heatmap([_table("a", data), _table("b", data.copy())], critical)
+
 
 class TestMatrixType:
     def test_row_average_excludes_diagonal(self):

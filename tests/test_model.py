@@ -106,6 +106,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(p, np.zeros((3, 2)), np.array([0, 1, 2]), TrainConfig())
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
 
 def _fd_batch():
     g = np.random.default_rng(0)
