@@ -20,6 +20,11 @@ import numpy as np
 
 from .rng import stream
 
+# Byte budget for one block of pool-minus-labeled differences in k-centers.
+_BLOCK_BYTES = 4 << 20
+# Candidates whose facility-location gain is recomputed together.
+_GAIN_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class ProbabilityTensor:
@@ -175,6 +180,14 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     Each pick maximizes the Euclidean distance to the nearest point in the
     labeled set plus the picks so far. An empty labeled set leaves every
     distance infinite, so the first pick is position 0 by the tie rule.
+
+    The nearest-labeled distances are computed over blocks of pool rows,
+    so the pool-minus-labeled differences never take more than about
+    `_BLOCK_BYTES` (or one pool row's worth, if larger) instead of
+    pool x labeled x width floats. Each squared distance is summed exactly
+    as over the full tensor, and the square root is taken after the
+    minimum, which gives the same value because sqrt is monotone and
+    correctly rounded.
     """
     pool = _check_features(pool_features, "pool features")
     labeled = _check_features(labeled_features, "labeled features") if len(labeled_features) else None
@@ -185,8 +198,13 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     if labeled is None or len(labeled) == 0:
         min_d = np.full(len(pool), np.inf)
     else:
-        diffs = pool[:, None, :] - labeled[None, :, :]
-        min_d = np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
+        min_d = np.empty(len(pool))
+        rows = max(1, _BLOCK_BYTES // max(labeled.nbytes, 1))
+        for lo in range(0, len(pool), rows):
+            diffs = pool[lo : lo + rows, None, :] - labeled[None, :, :]
+            np.square(diffs, out=diffs)
+            diffs.sum(axis=2).min(axis=1, out=min_d[lo : lo + rows])
+        np.sqrt(min_d, out=min_d)
 
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):
@@ -229,9 +247,11 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
     g = stream(seed)
     n = len(emb)
     chosen = [int(g.integers(n))]
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen[0]] = True
     sq_d = ((emb - emb[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < b:
-        remaining = np.setdiff1d(np.arange(n), chosen, assume_unique=False)
+        remaining = np.flatnonzero(~taken)
         w = sq_d[remaining]
         total = w.sum()
         if total <= 0.0:
@@ -239,6 +259,7 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
         else:
             pick = int(g.choice(remaining, p=w / total))
         chosen.append(pick)
+        taken[pick] = True
         sq_d = np.minimum(sq_d, ((emb - emb[pick]) ** 2).sum(axis=1))
     return np.asarray(chosen, dtype=np.int64)
 
@@ -248,7 +269,8 @@ def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
     norms = np.sqrt((f**2).sum(axis=1))
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = f / safe[:, None]
-    return np.clip(unit @ unit.T, -1.0, 1.0)
+    sims = unit @ unit.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
@@ -259,20 +281,49 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     monotone for arbitrary inputs; post-ReLU features are nonnegative so
     there it coincides with the unfloored objective. Greedy achieves at
     least (1 - 1/e) of the optimal batch value.
+
+    Lazy greedy (Minoux 1978): a gain can only shrink as the batch grows,
+    so each candidate's last computed gain bounds its current one. A step
+    recomputes gains in blocks of `_GAIN_BLOCK` candidates, highest bound
+    first, and stops once no bound left, plus a slack for rounding,
+    reaches the best fresh gain. The picks are those of recomputing every
+    gain every step: each gain is summed over the pool rows strictly in
+    order, as numpy's `sum(axis=0)` of the full n x n matrix does, by
+    taking `np.cumsum` (a pairwise `sum` over a candidate's row or over a
+    column subset can differ in the last bit, which flips near-ties), and
+    ties still go to the lowest position. The n x n similarity matrix is
+    still held in full, stored transposed so that each candidate's
+    similarities are one contiguous row.
     """
     pool = _check_features(pool_features, "pool features")
-    _check_budget(b, len(pool))
-    sims = _cosine_similarity_matrix(pool)
-    cover = np.zeros(len(pool))
+    n = len(pool)
+    _check_budget(b, n)
+    cols = np.ascontiguousarray(_cosine_similarity_matrix(pool).T)
+    # A gain is a sum of n terms in [0, 1] minus a sum of n covers in
+    # [0, 1], so its computed value is within about n^2 eps of the exact
+    # one, and a fresh gain can exceed its stale bound by about twice that.
+    slack = 4.0 * n * n * np.finfo(np.float64).eps
+    bound = np.full(n, np.inf)
+    cover = np.zeros(n)
     chosen = np.empty(b, dtype=np.int64)
-    blocked = np.zeros(len(pool), dtype=bool)
     for step in range(b):
-        gains = np.maximum(sims, cover[:, None]).sum(axis=0) - cover.sum()
-        gains[blocked] = -np.inf
+        gains = np.full(n, -np.inf)
+        total = cover.sum()
+        best = -np.inf
+        live = np.flatnonzero(bound > -np.inf)
+        order = live[np.argsort(-bound[live], kind="stable")]
+        for lo in range(0, len(order), _GAIN_BLOCK):
+            rows = order[lo : lo + _GAIN_BLOCK]
+            rows = rows[bound[rows] + slack >= best]
+            if len(rows) == 0:
+                break
+            fresh = np.cumsum(np.maximum(cols[rows], cover), axis=1)[:, -1] - total
+            gains[rows] = bound[rows] = fresh
+            best = max(best, fresh.max())
         pick = int(np.argmax(gains))
         chosen[step] = pick
-        blocked[pick] = True
-        cover = np.maximum(cover, sims[:, pick])
+        bound[pick] = -np.inf
+        cover = np.maximum(cover, cols[pick])
     return chosen
 
 

@@ -87,8 +87,17 @@ def t_score(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(len(d)) * mu / sd
 
 
+def _check_critical(critical: float) -> float:
+    """A negative critical value lets a tied round count as a win for both
+    sides, and NaN lets nobody win, so only finite values >= 0 pass."""
+    if not (math.isfinite(critical) and critical >= 0.0):
+        raise ValueError(f"critical t value must be finite and >= 0, got {critical}")
+    return float(critical)
+
+
 def winning_rate(a: AccuracyTable | np.ndarray, b: AccuracyTable | np.ndarray, critical: float = DEFAULT_CRITICAL) -> float:
     """Fraction of rounds where `a` beats `b` at the critical t value."""
+    critical = _check_critical(critical)
     da = a.data if isinstance(a, AccuracyTable) else np.asarray(a, dtype=np.float64)
     db = b.data if isinstance(b, AccuracyTable) else np.asarray(b, dtype=np.float64)
     if da.shape != db.shape or da.ndim != 2:
@@ -128,8 +137,7 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
     """Pairwise winning rates for congruent, seed-paired accuracy tables."""
     if not tables:
         raise ValueError("no tables")
-    if not (math.isfinite(critical) and critical >= 0.0):
-        raise ValueError(f"critical t value must be finite and >= 0, got {critical}")
+    critical = _check_critical(critical)
     names = tuple(t.name for t in tables)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategy names {names}")
@@ -145,7 +153,7 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
         for j in range(k):
             if i != j:
                 m[i, j] = winning_rate(tables[i], tables[j], critical)
-    return WinningRateMatrix(names, m, float(critical))
+    return WinningRateMatrix(names, m, critical)
 
 
 def heatmap_csv_text(hm: WinningRateMatrix) -> str:

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acqbench.acquisition import (
+    _BLOCK_BYTES,
     ProbabilityTensor,
+    _check_budget,
+    _check_features,
     bald_scores,
     entropy_scores,
     facility_location_value,
@@ -236,6 +240,95 @@ class TestPowerSelection:
         np.testing.assert_array_equal(select_power(s, 2, 1.0, 42), select_power(s, 2, 1.0, 42))
 
 
+# Reference oracles: the straightforward full-tensor k-centers and the
+# recompute-every-gain facility location, kept verbatim so the blocked and
+# lazy selectors are checked pick for pick against them.
+def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity; rows with zero norm get similarity 0."""
+    norms = np.sqrt((f**2).sum(axis=1))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    unit = f / safe[:, None]
+    return np.clip(unit @ unit.T, -1.0, 1.0)
+
+
+def _reference_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b: int) -> np.ndarray:
+    pool = _check_features(pool_features, "pool features")
+    labeled = _check_features(labeled_features, "labeled features") if len(labeled_features) else None
+    if labeled is not None and labeled.shape[1] != pool.shape[1]:
+        raise ValueError("pool and labeled feature widths differ")
+    _check_budget(b, len(pool))
+
+    if labeled is None or len(labeled) == 0:
+        min_d = np.full(len(pool), np.inf)
+    else:
+        diffs = pool[:, None, :] - labeled[None, :, :]
+        min_d = np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
+
+    chosen = np.empty(b, dtype=np.int64)
+    for step in range(b):
+        pick = int(np.argmax(min_d))
+        chosen[step] = pick
+        d_new = np.sqrt(((pool - pool[pick]) ** 2).sum(axis=1))
+        min_d = np.minimum(min_d, d_new)
+        min_d[pick] = -np.inf
+    return chosen
+
+
+def _reference_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
+    pool = _check_features(pool_features, "pool features")
+    _check_budget(b, len(pool))
+    sims = _cosine_similarity_matrix(pool)
+    cover = np.zeros(len(pool))
+    chosen = np.empty(b, dtype=np.int64)
+    blocked = np.zeros(len(pool), dtype=bool)
+    for step in range(b):
+        gains = np.maximum(sims, cover[:, None]).sum(axis=0) - cover.sum()
+        gains[blocked] = -np.inf
+        pick = int(np.argmax(gains))
+        chosen[step] = pick
+        blocked[pick] = True
+        cover = np.maximum(cover, sims[:, pick])
+    return chosen
+
+
+def _selector_fixtures():
+    """Seeded (pool, labeled, b) cases for the oracle checks.
+
+    240 small pools cycle through signed Gaussian features (negative
+    cosines), rounded features (ties), duplicated rows and nonnegative
+    rounded features with all-zero rows; labeled sets of 0, 1 or several
+    rows; and budgets 0, 1, n and one drawn in between. Then pools one row
+    short of, at, and one row past k-centers' block of rows, and past two
+    blocks, for a 64 x 128 labeled set.
+    """
+    g = np.random.default_rng(12)
+    for i in range(240):
+        n = int(g.integers(1, 61))
+        w = int(g.integers(1, 6))
+        pool = g.normal(size=(n, w))
+        shape = i % 4
+        if shape == 1:
+            pool = np.round(pool)
+        elif shape == 2:
+            pool = pool[g.integers(0, max(1, n // 3), size=n)]
+        elif shape == 3:
+            pool = np.abs(np.round(pool, 1))
+            pool[g.random(n) < 0.3] = 0.0
+        n_lab = (0, 1, int(g.integers(2, 13)))[(i // 4) % 3]
+        if i % 2:
+            labeled = pool[g.integers(0, n, size=n_lab)]
+        else:
+            labeled = np.round(g.normal(size=(n_lab, w)), shape % 2)
+        b = (0, 1, n, int(g.integers(0, n + 1)))[(i // 12) % 4]
+        yield pool, labeled, b
+    labeled = np.round(g.normal(size=(64, 128)), 1)
+    rows = _BLOCK_BYTES // labeled.nbytes
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        pool = np.round(g.normal(size=(n, 128)), 1)
+        pool[::7] = labeled[: len(pool[::7])]
+        yield pool, labeled, n
+
+
 def _brute_force_farthest_first(pool, labeled, b):
     """Reference greedy with explicit min-distance bookkeeping."""
     chosen = []
@@ -287,6 +380,27 @@ class TestKCenters:
                 select_k_centers(pool, labeled, 4),
                 _brute_force_farthest_first(pool, labeled, 4),
             )
+        for pool, labeled, b in _selector_fixtures():
+            np.testing.assert_array_equal(
+                select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
+            )
+
+    def test_memory_bounded_by_blocks(self):
+        # the full [pool, labeled, width] difference tensor here is 146 MiB
+        g = np.random.default_rng(5)
+        pool, labeled = g.normal(size=(2000, 96)), g.normal(size=(100, 96))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            select_k_centers(pool, labeled, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_two_approximation(self):
         # greedy covering radius at most twice the exhaustive optimum
@@ -373,6 +487,12 @@ class TestFacilityLocation:
     def test_full_budget(self):
         pool = np.random.default_rng(0).random((4, 3))
         assert sorted(select_facility_location(pool, 4)) == [0, 1, 2, 3]
+
+    def test_matches_reference_greedy(self):
+        for pool, _, b in _selector_fixtures():
+            np.testing.assert_array_equal(
+                select_facility_location(pool, b), _reference_facility_location(pool, b)
+            )
 
     def test_submodular_guarantee(self):
         g = np.random.default_rng(6)

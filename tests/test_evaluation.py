@@ -113,6 +113,17 @@ class TestWinningRate:
         with pytest.raises(ValueError):
             winning_rate(np.ones((2, 5)), np.ones((3, 5)))
 
+    @pytest.mark.parametrize("critical", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_critical_rejected(self, critical):
+        # at -1 a constant table beat itself in every round; NaN made nobody win
+        t = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError, match="critical"):
+            winning_rate(t, t.copy(), critical)
+
+    def test_zero_critical_accepted(self):
+        t = np.full((2, 3), 0.5)
+        assert winning_rate(t + 0.1, t, critical=0.0) == 1.0
+
 
 class TestAccuracyTable:
     def test_assembled_from_records_in_seed_order(self):

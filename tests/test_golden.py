@@ -88,12 +88,24 @@ PINS = {
 }
 
 
-def _digest(spec: dict) -> str:
-    train_ds, test_ds = split(make_grid_toy(4, 10, 0.12, seed=0), 0.25, seed=1)
+# The same digest on a pool of a few hundred points with a 64-wide hidden
+# layer, so k-centers' initial distances span several row blocks and
+# facility location's lazy greedy re-evaluates stale gains over many steps.
+POOL_PINS = {
+    "facility_location": "57f0e8d8af7f93bd59765f13f3d818415e52f31385a6c2e454eae0152c169900",
+    "k_centers": "784f99e5e7811794ad34333a9b320a29586e70e438c440255889a932ab52901f",
+}
+
+
+def _digest(spec: dict, large: bool = False) -> str:
+    if large:
+        grid, sizes = (6, 15), dict(hidden=64, initial_labeled=100, rounds=2, budget=20)
+    else:
+        grid, sizes = (4, 10), dict(hidden=8, initial_labeled=8, rounds=3, budget=4, pool_size=40)
+    train_ds, test_ds = split(make_grid_toy(*grid, 0.12, seed=0), 0.25, seed=1)
     cfg = ExperimentConfig(
         train_ds=train_ds, test_ds=test_ds, strategy_spec=spec, seed=3,
-        hidden=8, dropout=0.3, lr=0.1, epochs=3, minibatch=16, n_passes=3,
-        initial_labeled=8, rounds=3, budget=4, pool_size=40,
+        dropout=0.3, lr=0.1, epochs=3, minibatch=16, n_passes=3, **sizes,
     )
     record = run_experiment(cfg)
     h = hashlib.sha256()
@@ -106,3 +118,8 @@ def _digest(spec: dict) -> str:
 @pytest.mark.parametrize("case", sorted(SPECS))
 def test_golden_digest(case):
     assert _digest(SPECS[case]) == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(POOL_PINS))
+def test_golden_digest_large_pool(case):
+    assert _digest(SPECS[case], large=True) == POOL_PINS[case]
