@@ -265,7 +265,11 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
 
 
 def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; rows with zero norm get similarity 0."""
+    """Pairwise cosine similarity; rows with zero norm get similarity 0.
+
+    `unit @ unit.T` goes to a symmetric rank-k update that computes one
+    triangle and mirrors it, so the matrix is exactly symmetric.
+    """
     norms = np.sqrt((f**2).sum(axis=1))
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = f / safe[:, None]
@@ -292,13 +296,13 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     taking `np.cumsum` (a pairwise `sum` over a candidate's row or over a
     column subset can differ in the last bit, which flips near-ties), and
     ties still go to the lowest position. The n x n similarity matrix is
-    still held in full, stored transposed so that each candidate's
-    similarities are one contiguous row.
+    held in full, once: it is exactly symmetric, so each candidate's
+    similarities are one contiguous row of it.
     """
     pool = _check_features(pool_features, "pool features")
     n = len(pool)
     _check_budget(b, n)
-    cols = np.ascontiguousarray(_cosine_similarity_matrix(pool).T)
+    cols = _cosine_similarity_matrix(pool)
     # A gain is a sum of n terms in [0, 1] minus a sum of n covers in
     # [0, 1], so its computed value is within about n^2 eps of the exact
     # one, and a fresh gain can exceed its stale bound by about twice that.
@@ -352,7 +356,8 @@ def select_disparity_min(candidate_features: np.ndarray, b: int, seed_index: int
         return np.empty(0, dtype=np.int64)
     if not 0 <= seed_index < len(feats):
         raise ValueError(f"seed_index {seed_index} out of range for {len(feats)} candidates")
-    dist = 1.0 - _cosine_similarity_matrix(feats)
+    sims = _cosine_similarity_matrix(feats)
+    dist = np.subtract(1.0, sims, out=sims)
     chosen = np.empty(b, dtype=np.int64)
     chosen[0] = seed_index
     min_d = dist[:, seed_index].copy()

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
-import io
 import json
 import os
 import sys
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_datasets, build_experiment, check_seeds, validate_config
+from .config import build_datasets, build_experiment, validate_config
 from .evaluation import (
     DEFAULT_CRITICAL,
     AccuracyTable,
@@ -33,8 +31,8 @@ from .evaluation import (
     heatmap_csv_text,
     heatmap_svg_text,
 )
-from .fileio import atomic_write_text
-from .simulator import RunRecord, read_record_csv, sweep, write_record
+from .fileio import atomic_write_text, csv_text
+from .simulator import RunRecord, check_seeds, read_record_csv, sweep, write_record
 from .strategies import build_strategy
 
 TOY_STRATEGIES = (
@@ -73,7 +71,7 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return check_seeds(list(range(int(lo), int(hi) + 1)))
+        return check_seeds(range(int(lo), int(hi) + 1))
     return check_seeds([int(s) for s in text.split(",") if s.strip()])
 
 
@@ -114,12 +112,8 @@ def _run_strategy(
 
 def table_csv_text(table: AccuracyTable) -> str:
     """Accuracy table as CSV: one row per round, one column per seed."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["round", *(f"seed_{s}" for s in table.seeds)])
-    for t in range(table.n_rounds):
-        w.writerow([t + 1, *(repr(float(v)) for v in table.data[t])])
-    return buf.getvalue()
+    rows = ([t + 1, *(repr(float(v)) for v in table.data[t])] for t in range(table.n_rounds))
+    return csv_text([["round", *(f"seed_{s}" for s in table.seeds)], *rows])
 
 
 def curve_csv_text(records: list[RunRecord], include_timings: bool = False) -> str:
@@ -129,37 +123,33 @@ def curve_csv_text(records: list[RunRecord], include_timings: bool = False) -> s
     time columns are present but filled only on request since they are
     machine noise.
     """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        [
-            "round",
-            "n_labeled",
-            "mean_accuracy",
-            "median_accuracy",
-            "mean_cum_n_infer",
-            "mean_cum_acq_ms",
-            "mean_cum_train_ms",
-        ]
-    )
+    header = [
+        "round",
+        "n_labeled",
+        "mean_accuracy",
+        "median_accuracy",
+        "mean_cum_n_infer",
+        "mean_cum_acq_ms",
+        "mean_cum_train_ms",
+    ]
     n_rounds = len(records[0].rows)
     accs = np.array([[r.rows[t].test_accuracy for r in records] for t in range(n_rounds)])
     infer = np.array([[r.rows[t].n_infer for r in records] for t in range(n_rounds)]).cumsum(axis=0)
     acq = np.array([[r.rows[t].acq_ms for r in records] for t in range(n_rounds)]).cumsum(axis=0)
     train = np.array([[r.rows[t].train_ms for r in records] for t in range(n_rounds)]).cumsum(axis=0)
-    for t in range(n_rounds):
-        w.writerow(
-            [
-                t + 1,
-                records[0].rows[t].n_labeled,
-                repr(float(accs[t].mean())),
-                repr(float(np.median(accs[t]))),
-                repr(float(infer[t].mean())),
-                repr(float(acq[t].mean())) if include_timings else "",
-                repr(float(train[t].mean())) if include_timings else "",
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        [
+            t + 1,
+            records[0].rows[t].n_labeled,
+            repr(float(accs[t].mean())),
+            repr(float(np.median(accs[t]))),
+            repr(float(infer[t].mean())),
+            repr(float(acq[t].mean())) if include_timings else "",
+            repr(float(train[t].mean())) if include_timings else "",
+        ]
+        for t in range(n_rounds)
+    )
+    return csv_text([header, *rows])
 
 
 def _cmd_run(args) -> int:
@@ -250,8 +240,10 @@ def _cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg["seeds"]
     out = Path(args.out or cfg["output_dir"])
     values = _parse_values(args.values)
-    for value in values:
-        spec = _apply_ablation(cfg["strategy"], args.parameter, value)
+    specs = [_apply_ablation(cfg["strategy"], args.parameter, value) for value in values]
+    for spec in specs:
+        validate_config({**cfg, "strategy": spec})
+    for value, spec in zip(values, specs):
         sub = out / f"{args.parameter}_{value:g}"
         name, records = _run_strategy(cfg, spec, seeds, sub, jobs=_jobs(args), timings=args.timings)
         atomic_write_text(sub / "curve.csv", curve_csv_text(records, include_timings=args.timings))
@@ -272,32 +264,23 @@ def _cmd_toy(args) -> int:
     train_ds, _ = build_datasets(cfg["dataset"])
 
     tables = []
-    dump = io.StringIO()
-    dw = csv.writer(dump, lineterminator="\n")
-    dw.writerow(["strategy", "seed", "round", "index", "x0", "x1", "label"])
+    selections = [["strategy", "seed", "round", "index", "x0", "x1", "label"]]
     for spec in TOY_STRATEGIES:
         name, records = _run_strategy(cfg, spec, seeds, out, jobs=_jobs(args), timings=args.timings)
         table = accuracy_table(records)
         tables.append(table)
         atomic_write_text(out / name / "accuracy_table.csv", table_csv_text(table))
-        for rec in records:
-            for row in rec.rows:
-                for idx in row.selected:
-                    dw.writerow(
-                        [
-                            name,
-                            rec.seed,
-                            row.round,
-                            idx,
-                            repr(float(train_ds.X[idx, 0])),
-                            repr(float(train_ds.X[idx, 1])),
-                            int(train_ds.y[idx]),
-                        ]
-                    )
+        selections += (
+            [name, rec.seed, row.round, idx, repr(float(train_ds.X[idx, 0])), repr(float(train_ds.X[idx, 1])),
+             int(train_ds.y[idx])]
+            for rec in records
+            for row in rec.rows
+            for idx in row.selected
+        )
         finals = [r.final_accuracy for r in records]
         print(f"{name}: median final accuracy {float(np.median(finals)):.4f}")
 
-    atomic_write_text(out / "selections.csv", dump.getvalue())
+    atomic_write_text(out / "selections.csv", csv_text(selections))
     _write_heatmap(tables, out, args.critical)
     print(f"wrote toy benchmark artifacts under {out}")
     return 0

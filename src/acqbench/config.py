@@ -4,7 +4,11 @@ A config is one JSON object describing one strategy's experiment. Every
 section goes through `strategies.check_fields`, the checker strategy
 params use too: unknown keys are rejected by name before any work happens,
 and missing optional keys get the defaults of the classes that take them
-(`ExperimentConfig`, `TrainConfig`, `MCConfig`). `build_experiment` turns a
+(`ExperimentConfig`, `TrainConfig`, `MCConfig`). Ranges are checked by
+the code that uses them: validation builds the dataset, the model, the
+train and MC settings, the first seed's `ExperimentConfig` (so M + T * b
+must fit the training split) and the strategy once each, and names the
+section whose builder refused. `build_experiment` turns a
 validated config plus a run seed into an ExperimentConfig; the train/test
 split is derived from the dataset seed, not the run seed, so every run of
 every strategy shares the same split and stays seed-paired.
@@ -21,8 +25,8 @@ import numpy as np
 from . import model as mdl
 from .datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from .rng import NS_DATASET, derive_seed
-from .simulator import ExperimentConfig
-from .strategies import _integer, build_strategy, check_fields
+from .simulator import ExperimentConfig, check_seeds
+from .strategies import build_strategy, check_fields
 
 # `check_fields` schemas: key -> default, or the type of a required value.
 _SPLIT = {"seed": 0, "test_fraction": 0.25}
@@ -39,24 +43,8 @@ SECTIONS: dict[str, dict[str, Any]] = {
 }
 CONFIG = {
     "dataset": dict, "model": {}, "train": {}, "mc": {}, "al": dict,
-    "strategy": None, "seeds": None, "output_dir": str,
+    "strategy": None, "seeds": list, "output_dir": str,
 }
-
-
-def check_seeds(seeds: list) -> list[int]:
-    """A run seed list: nonempty, integers, no duplicates."""
-    if not isinstance(seeds, list) or not seeds:
-        raise ValueError(f"'seeds' must be a nonempty list of integers, got {seeds!r}")
-    seeds = [_integer(s, "'seeds' entries") for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"'seeds' contains duplicates: {seeds}")
-    return seeds
-
-
-def _at_least(section: dict, where: str, **bounds) -> None:
-    for key, lo in bounds.items():
-        if key in section and section[key] < lo:
-            raise ValueError(f"'{where}.{key}' must be >= {lo}, got {section[key]}")
 
 
 def validate_config(raw: dict) -> dict:
@@ -74,37 +62,34 @@ def _validate(raw: dict) -> dict:
     if kind not in DATASETS:
         raise ValueError(f"'dataset.kind' must be one of {sorted(DATASETS)}, got {kind!r}")
     params = check_fields(dataset["params"], DATASETS[kind], "dataset.params")
-    if not 0.0 < params["test_fraction"] < 1.0:
-        raise ValueError(f"'dataset.params.test_fraction' must be in (0, 1), got {params['test_fraction']}")
-    _at_least(params, "dataset.params", cells_per_side=2, n_per_cell=1, n_per_class=1, spread=0.0)
     if kind == "csv" and type(params["label_column"]) not in (str, int):
         raise ValueError("'dataset.params.label_column' must be a column name or index")
-
-    out = {"dataset": {"kind": kind, "params": params}}
-    for key, schema in SECTIONS.items():
-        out[key] = check_fields(cfg[key], schema, key)
-    _at_least(out["model"], "model", hidden=1, dropout=0.0)
-    if out["model"]["dropout"] >= 1.0:
-        raise ValueError(f"'model.dropout' must be < 1, got {out['model']['dropout']}")
-    for key, make in (("train", mdl.TrainConfig), ("mc", mdl.MCConfig)):
-        try:
-            make(**out[key])
-        except ValueError as e:
-            raise ValueError(f"invalid '{key}': {e}") from None
-    _at_least(out["al"], "al", M=1, T=1, b=1, pool_size=1)
-
-    try:
-        build_strategy(cfg["strategy"]).check_budget(out["al"]["b"])
-    except ValueError as e:
-        raise ValueError(f"invalid 'strategy': {e}") from None
     if not cfg["output_dir"]:
         raise ValueError("'output_dir' must be a nonempty string")
-    return {
-        **out,
+    out = {
+        "dataset": {"kind": kind, "params": params},
+        **{key: check_fields(cfg[key], schema, key) for key, schema in SECTIONS.items()},
         "strategy": copy.deepcopy(cfg["strategy"]),
         "seeds": check_seeds(cfg["seeds"]),
         "output_dir": cfg["output_dir"],
     }
+
+    train_ds, test_ds = _checked_by("dataset", build_datasets, out["dataset"])
+    n_in, n_classes = train_ds.X.shape[1], train_ds.n_classes
+    _checked_by("model", mdl.init_model, n_in, out["model"]["hidden"], n_classes, out["model"]["dropout"], 0)
+    _checked_by("train", mdl.TrainConfig, **out["train"])
+    _checked_by("mc", mdl.MCConfig, **out["mc"])
+    _checked_by("al", _experiment, out, out["seeds"][0], train_ds, test_ds)
+    _checked_by("strategy", lambda: build_strategy(out["strategy"]).check_budget(out["al"]["b"]))
+    return out
+
+
+def _checked_by(section: str, owner, *args, **kwargs):
+    """`owner(*args, **kwargs)`, its error prefixed with the config section."""
+    try:
+        return owner(*args, **kwargs)
+    except (ValueError, OSError) as e:
+        raise ValueError(f"invalid '{section}': {e}") from None
 
 
 def build_datasets(dataset_cfg: dict) -> tuple[Dataset, Dataset]:
@@ -121,7 +106,10 @@ def build_datasets(dataset_cfg: dict) -> tuple[Dataset, Dataset]:
 
 def build_experiment(cfg: dict, seed: int) -> ExperimentConfig:
     """ExperimentConfig for one run seed of a validated config."""
-    train_ds, test_ds = build_datasets(cfg["dataset"])
+    return _experiment(cfg, seed, *build_datasets(cfg["dataset"]))
+
+
+def _experiment(cfg: dict, seed: int, train_ds: Dataset, test_ds: Dataset) -> ExperimentConfig:
     return ExperimentConfig(
         train_ds=train_ds,
         test_ds=test_ds,

@@ -10,13 +10,12 @@ lookups: the critical value is a parameter.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import csv_text
 from .simulator import RunRecord
 
 DEFAULT_CRITICAL = 2.776
@@ -158,13 +157,9 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
 
 def heatmap_csv_text(hm: WinningRateMatrix) -> str:
     """CSV with one row per strategy and a trailing row_average column."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["strategy", *hm.names, "row_average"])
     avgs = hm.row_averages()
-    for i, name in enumerate(hm.names):
-        w.writerow([name, *(repr(float(v)) for v in hm.matrix[i]), repr(float(avgs[i]))])
-    return buf.getvalue()
+    rows = [[name, *(repr(float(v)) for v in hm.matrix[i]), repr(float(avgs[i]))] for i, name in enumerate(hm.names)]
+    return csv_text([["strategy", *hm.names, "row_average"], *rows])
 
 
 def _cell_color(v: float) -> str:

@@ -1,7 +1,9 @@
-"""Atomic text artifact writes."""
+"""Atomic text artifact writes and the one CSV dialect they use."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -21,3 +23,14 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
     return path
+
+
+def csv_text(rows) -> str:
+    """Rows of cells as CSV text with "\n" line ends.
+
+    A float cell is written with `repr`, so callers pass numpy scalars as
+    `repr(float(v))`: numpy 2 scalars repr as `np.float64(...)`.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

@@ -16,11 +16,10 @@ per-strategy cost identities stay exact.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import model as mdl
 from .aggregation import check_selection
 from .datasets import Dataset
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text
 from .rng import (
     NS_ACQUIRE,
     NS_INIT_LABELED,
@@ -39,18 +38,27 @@ from .rng import (
     derive_seed,
     stream,
 )
-from .strategies import RoundState, build_strategy
+from .strategies import RoundState, _integer, build_strategy
 
-RECORD_COLUMNS = (
-    "round",
-    "n_labeled",
-    "test_accuracy",
-    "batch_loss_prev_model",
-    "strategy_tag",
-    "acq_ms",
-    "train_ms",
-    "n_infer",
-)
+
+def _timing(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+# record.csv: each column, a `RoundRow` field, with the parser of its
+# cells. Timing cells stay empty unless asked for: wall time is machine
+# noise and would break byte-identical re-runs.
+_RECORD_PARSERS = {
+    "round": int,
+    "n_labeled": int,
+    "test_accuracy": float,
+    "batch_loss_prev_model": float,
+    "strategy_tag": str,
+    "acq_ms": _timing,
+    "train_ms": _timing,
+    "n_infer": int,
+}
+RECORD_COLUMNS = tuple(_RECORD_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -230,20 +238,28 @@ def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:
     return run_experiment(replace(cfg, seed=seed))
 
 
-def sweep(cfg: ExperimentConfig, seeds: list[int], jobs: int = 1) -> list[RunRecord]:
+def check_seeds(seeds) -> list[int]:
+    """A run seed list from any iterable of Python or numpy integers:
+    nonempty, no bools, no duplicates."""
+    seeds = [_integer(int(s) if isinstance(s, np.integer) else s, "'seeds' entries") for s in seeds]
+    if not seeds:
+        raise ValueError("'seeds' must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"'seeds' contains duplicates: {seeds}")
+    return seeds
+
+
+def sweep(cfg: ExperimentConfig, seeds, jobs: int = 1) -> list[RunRecord]:
     """Run the same config under each seed; optionally across processes.
 
     Results are returned in seed order regardless of scheduling, and each
     worker derives all its randomness from its own seed, so parallel and
     sequential sweeps produce identical records.
     """
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"duplicate seeds in sweep: {seeds}")
-    if not seeds:
-        raise ValueError("sweep needs at least one seed")
+    seeds = check_seeds(seeds)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(cfg, int(s)) for s in seeds]
+    tasks = [(cfg, s) for s in seeds]
     if jobs == 1 or len(seeds) == 1:
         return [_run_with_seed(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
@@ -254,25 +270,10 @@ def sweep(cfg: ExperimentConfig, seeds: list[int], jobs: int = 1) -> list[RunRec
 
 
 def record_csv_text(record: RunRecord, include_timings: bool = False) -> str:
-    """Render the per-round CSV. Timing cells stay empty unless asked for:
-    wall time is machine noise and would break byte-identical re-runs."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RECORD_COLUMNS)
-    for r in record.rows:
-        w.writerow(
-            [
-                r.round,
-                r.n_labeled,
-                repr(r.test_accuracy),
-                repr(r.batch_loss_prev_model),
-                r.strategy_tag,
-                repr(r.acq_ms) if include_timings else "",
-                repr(r.train_ms) if include_timings else "",
-                r.n_infer,
-            ]
-        )
-    return buf.getvalue()
+    """Render the per-round CSV; timing cells are empty unless asked for."""
+    blank = () if include_timings else [c for c, parse in _RECORD_PARSERS.items() if parse is _timing]
+    rows = ([("" if c in blank else getattr(r, c)) for c in RECORD_COLUMNS] for r in record.rows)
+    return csv_text([RECORD_COLUMNS, *rows])
 
 
 def record_summary(record: RunRecord) -> dict:
@@ -286,22 +287,7 @@ def record_summary(record: RunRecord) -> dict:
         "total_n_infer": record.total_inferences,
         "total_acq_ms": sum(r.acq_ms for r in record.rows),
         "total_train_ms": sum(r.train_ms for r in record.rows),
-        "rounds": [
-            {
-                "round": r.round,
-                "n_labeled": r.n_labeled,
-                "test_accuracy": r.test_accuracy,
-                "batch_loss_prev_model": r.batch_loss_prev_model,
-                "strategy_tag": r.strategy_tag,
-                "acq_ms": r.acq_ms,
-                "train_ms": r.train_ms,
-                "n_infer": r.n_infer,
-                "n_infer_mc": r.n_infer_mc,
-                "n_infer_features": r.n_infer_features,
-                "selected": list(r.selected),
-            }
-            for r in record.rows
-        ],
+        "rounds": [asdict(r) for r in record.rows],
     }
 
 
@@ -319,20 +305,7 @@ def read_record_csv(path: str | Path) -> list[dict]:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != RECORD_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "round": int(raw["round"]),
-                    "n_labeled": int(raw["n_labeled"]),
-                    "test_accuracy": float(raw["test_accuracy"]),
-                    "batch_loss_prev_model": float(raw["batch_loss_prev_model"]),
-                    "strategy_tag": raw["strategy_tag"],
-                    "acq_ms": float(raw["acq_ms"]) if raw["acq_ms"] else None,
-                    "train_ms": float(raw["train_ms"]) if raw["train_ms"] else None,
-                    "n_infer": int(raw["n_infer"]),
-                }
-            )
+        rows = [{c: parse(raw[c]) for c, parse in _RECORD_PARSERS.items()} for raw in reader]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

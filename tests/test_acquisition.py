@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from acqbench import acquisition
 from acqbench.acquisition import (
     _BLOCK_BYTES,
     ProbabilityTensor,
@@ -526,6 +527,33 @@ class TestDisparityMin:
     def test_seed_index_validated(self):
         with pytest.raises(ValueError):
             select_disparity_min(np.ones((3, 2)), 2, seed_index=5)
+
+
+class TestSimilarityMatrix:
+    def test_exactly_symmetric(self):
+        # the dense selectors read a candidate's row as its column
+        for pool, labeled, _ in _selector_fixtures():
+            for feats in (pool, labeled):
+                if len(feats):
+                    sims = acquisition._cosine_similarity_matrix(feats)
+                    np.testing.assert_array_equal(sims, sims.T)
+
+    @pytest.mark.parametrize("select", [select_facility_location, select_disparity_min])
+    def test_dense_selector_holds_one_matrix(self, select):
+        n = 1000
+        feats = np.maximum(np.random.default_rng(14).normal(size=(n, 96)), 0.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            select(feats, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestSelectorContracts:

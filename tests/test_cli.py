@@ -5,6 +5,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from acqbench.cli import _parse_seeds, main, toy_config
@@ -175,6 +176,75 @@ class TestValidateConfig:
         cfg = _base_config("/tmp/x")
         cfg["al"]["M"] = 2.5
         with pytest.raises(ValueError, match="'al.M'"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "path,value,section,words",
+        [
+            ("dataset.params.cells_per_side", 1, "dataset", "cells_per_side"),
+            ("dataset.params.n_per_cell", 0, "dataset", "n_per_cell"),
+            ("dataset.params.n_per_class", 0, "dataset", "n_per_class"),
+            ("dataset.params.spread", -1, "dataset", "spread"),
+            ("dataset.params.test_fraction", 0, "dataset", "test_fraction"),
+            ("dataset.params.test_fraction", 1, "dataset", "test_fraction"),
+            ("model.hidden", 0, "model", "hidden"),
+            ("model.dropout", -0.1, "model", "dropout"),
+            ("model.dropout", 1.0, "model", "dropout"),
+            ("al.M", 0, "al", "initial_labeled"),
+            ("al.T", 0, "al", "rounds"),
+            ("al.b", 0, "al", "budget"),
+            ("al.pool_size", 2, "al", "pool_size"),
+        ],
+    )
+    def test_range_rejected_naming_section(self, path, value, section, words):
+        cfg = _base_config("/tmp/x")
+        if path.split(".")[-1] in ("cells_per_side", "n_per_cell"):
+            cfg["dataset"] = {"kind": "grid", "params": {"cells_per_side": 3, "n_per_cell": 10}}
+        *parents, key = path.split(".")
+        target = cfg
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"invalid '{section}': .*{words}"):
+            validate_config(cfg)
+
+    def test_budgets_must_fit_training_split(self):
+        # 60 blob rows leave 45 for training; 4 + 2 * 30 = 64 do not fit
+        cfg = _base_config("/tmp/x")
+        cfg["al"]["b"] = 30
+        with pytest.raises(ValueError, match="invalid 'al': .*64 exceeds training set of 45"):
+            validate_config(cfg)
+
+    @staticmethod
+    def _csv_config(tmp_path, label_column):
+        path = tmp_path / "points.csv"
+        g = np.random.default_rng(0)
+        lines = ["x0,x1,label"] + [f"{x0},{x1},{i % 2}" for i, (x0, x1) in enumerate(g.normal(size=(40, 2)).tolist())]
+        path.write_text("\n".join(lines) + "\n")
+        cfg = _base_config("/tmp/x")
+        cfg["dataset"] = {"kind": "csv", "params": {"path": str(path), "label_column": label_column}}
+        return cfg
+
+    @pytest.mark.parametrize("label_column", ["label", 2, -1])
+    def test_csv_dataset_validates_and_builds(self, tmp_path, label_column):
+        cfg = validate_config(self._csv_config(tmp_path, label_column))
+        exp = build_experiment(cfg, 0)
+        assert len(exp.train_ds) == 30 and len(exp.test_ds) == 10
+        assert exp.train_ds.n_classes == 2 and exp.train_ds.X.shape[1] == 2
+
+    @pytest.mark.parametrize("label_column", ["nope", 5])
+    def test_csv_bad_label_column_named(self, tmp_path, label_column):
+        with pytest.raises(ValueError, match=f"invalid 'dataset': .*label column.*{label_column}"):
+            validate_config(self._csv_config(tmp_path, label_column))
+
+    def test_csv_label_column_type_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="label_column"):
+            validate_config(self._csv_config(tmp_path, 1.5))
+
+    def test_csv_missing_file_named(self, tmp_path):
+        cfg = self._csv_config(tmp_path, "label")
+        cfg["dataset"]["params"]["path"] = str(tmp_path / "absent.csv")
+        with pytest.raises(ValueError, match="invalid 'dataset': .*absent.csv"):
             validate_config(cfg)
 
     def test_build_experiment_shares_split_across_run_seeds(self):
@@ -387,6 +457,22 @@ class TestAblateCommand:
                    "--parameter", "rate", "--values", "1.5"])
         assert rc != 0
         assert "annealing" in capsys.readouterr().err
+
+    def test_bad_rate_exits_before_any_run(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path / "abl")
+        cfg["strategy"] = {"kind": "annealing", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        rc = main(["ablate", "--config", _write_config(tmp_path, cfg),
+                   "--parameter", "rate", "--values", "2,0.5"])
+        assert rc == 1
+        assert "rate" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
+    def test_bad_kappa_exits_before_any_run(self, tmp_path, capsys):
+        rc = main(["ablate", "--config", self._series_config(tmp_path),
+                   "--parameter", "kappa", "--values", "2,0.5"])
+        assert rc == 1
+        assert "invalid 'strategy'" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
 
     def test_curve_csv_is_well_formed(self, tmp_path):
         main(["ablate", "--config", self._series_config(tmp_path),

@@ -11,11 +11,12 @@ A pin may change only in a change that says why in CHANGES.md.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from acqbench.datasets import make_grid_toy, split
-from acqbench.simulator import ExperimentConfig, record_csv_text, run_experiment
+from acqbench.simulator import ExperimentConfig, record_csv_text, run_experiment, write_record
 
 
 def _leaf(kind, **params):
@@ -123,3 +124,33 @@ def test_golden_digest(case):
 @pytest.mark.parametrize("case", sorted(POOL_PINS))
 def test_golden_digest_large_pool(case):
     assert _digest(SPECS[case], large=True) == POOL_PINS[case]
+
+
+def _fixed_timings(record):
+    """The record with each round's wall times replaced by fixed values."""
+    rows = tuple(replace(r, acq_ms=1.5 * r.round, train_ms=0.25 + r.round) for r in record.rows)
+    return replace(record, rows=rows)
+
+
+def _series_record():
+    train_ds, test_ds = split(make_grid_toy(4, 10, 0.12, seed=0), 0.25, seed=1)
+    cfg = ExperimentConfig(
+        train_ds=train_ds, test_ds=test_ds, strategy_spec=SPECS["series"], seed=3, hidden=8,
+        dropout=0.3, lr=0.1, epochs=3, minibatch=16, n_passes=3, initial_labeled=8, rounds=3,
+        budget=4, pool_size=40,
+    )
+    return _fixed_timings(run_experiment(cfg))
+
+
+# sha256 of the files `write_record` writes for the series case, wall
+# times fixed: summary.json, and record.csv with its timing cells filled.
+ARTIFACT_PINS = {
+    "record.csv": "7a0ee579cde3a0f9d581b063924969fe4d082618528be421c02275a5133700c1",
+    "summary.json": "c693d7fcb771eff86a0b84cb1cea6691b9f8b75de19232af5c274f327f22b357",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
+def test_golden_artifact_with_timings(tmp_path, name):
+    out = write_record(_series_record(), tmp_path, include_timings=True)
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_PINS[name]

@@ -191,6 +191,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(_config({"kind": "random"}), [])
 
+    def test_range_and_numpy_seeds_accepted(self):
+        cfg = _config({"kind": "random"}, rounds=1)
+        want = [_strip_timings(r) for r in sweep(cfg, [0, 1])]
+        for seeds in (range(2), np.arange(2)):
+            recs = sweep(cfg, seeds)
+            assert [type(r.seed) for r in recs] == [int, int]
+            assert [_strip_timings(r) for r in recs] == want
+
+    @pytest.mark.parametrize("seeds", [[True, 2], [np.bool_(True), 2]])
+    def test_bool_seed_rejected(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            sweep(_config({"kind": "random"}), seeds)
+
 
 class TestArtifacts:
     def test_write_and_read_round_trip(self, tmp_path):
@@ -204,6 +217,12 @@ class TestArtifacts:
             assert got["batch_loss_prev_model"] == want.batch_loss_prev_model
             assert got["n_infer"] == want.n_infer
             assert got["acq_ms"] is None
+
+    def test_round_trip_with_timings(self, tmp_path):
+        rec = run_experiment(_config({"kind": "margin"}, rounds=2))
+        rows = read_record_csv(write_record(rec, tmp_path / "r", include_timings=True) / "record.csv")
+        assert [(r["acq_ms"], r["train_ms"]) for r in rows] == [(w.acq_ms, w.train_ms) for w in rec.rows]
+        assert [r["strategy_tag"] for r in rows] == [w.strategy_tag for w in rec.rows]
 
     def test_summary_json(self, tmp_path):
         rec = run_experiment(_config({"kind": "margin"}, rounds=2))
