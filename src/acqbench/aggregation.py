@@ -12,6 +12,7 @@ child seed keys and call into this module for each decision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -132,36 +133,32 @@ class AnnealingSchedule:
             raise ValueError(f"rate must be >= 1, got {self.rate}")
 
 
+def _phases(sched: AnnealingSchedule):
+    """The schedule's (phase, length) sequence, without end."""
+    yield EXPLORE, sched.t_initial
+    length = sched.t_exploit
+    while True:
+        yield EXPLOIT, length
+        yield EXPLORE, sched.t_explore
+        # tiny epsilon guards floor() against float dust like 1.2 * 5 -> 5.999...
+        length = math.floor(sched.rate * length + 1e-9)
+
+
 def annealing_phase(sched: AnnealingSchedule, t: int) -> str:
     """Phase of 1-based round t under the schedule."""
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    pos = t
-    if pos <= sched.t_initial:
-        return EXPLORE
-    pos -= sched.t_initial
-    exploit_len = sched.t_exploit
-    while True:
-        if pos <= exploit_len:
-            return EXPLOIT
-        pos -= exploit_len
-        if pos <= sched.t_explore:
-            return EXPLORE
-        pos -= sched.t_explore
-        # tiny epsilon guards floor() against float dust like 1.2 * 5 -> 5.999...
-        exploit_len = math.floor(sched.rate * exploit_len + 1e-9)
+    for phase, length in _phases(sched):
+        if t <= length:
+            return phase
+        t -= length
 
 
 def exploit_lengths(sched: AnnealingSchedule, n: int) -> list[int]:
     """First n exploit phase lengths implied by the schedule."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    out: list[int] = []
-    length = sched.t_exploit
-    for _ in range(n):
-        out.append(length)
-        length = math.floor(sched.rate * length + 1e-9)
-    return out
+    return list(itertools.islice((length for phase, length in _phases(sched) if phase == EXPLOIT), n))
 
 
 # --- fair-coin alternation ----------------------------------------------------

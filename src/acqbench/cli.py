@@ -30,6 +30,7 @@ from .evaluation import (
     compute_heatmap,
     heatmap_csv_text,
     heatmap_svg_text,
+    table_from_runs,
 )
 from .fileio import atomic_write_text, csv_text
 from .simulator import RunRecord, check_seeds, read_record_csv, sweep, write_record
@@ -180,22 +181,15 @@ def _discover_tables(root: Path) -> list[AccuracyTable]:
         raise ValueError(f"{root} is not a directory")
     tables = []
     for sdir in sorted(p for p in root.iterdir() if p.is_dir()):
-        per_seed: dict[int, list[float]] = {}
+        runs = []
         for rec_path in sorted(sdir.glob("*/record.csv")):
             try:
                 seed = int(rec_path.parent.name)
             except ValueError:
                 raise ValueError(f"{rec_path.parent}: seed directory name must be an integer") from None
-            per_seed[seed] = [row["test_accuracy"] for row in read_record_csv(rec_path)]
-        if not per_seed:
-            continue
-        seeds = sorted(per_seed)
-        lengths = {len(v) for v in per_seed.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"{sdir.name}: seeds disagree on round count {sorted(lengths)}")
-        n_rounds = lengths.pop()
-        data = np.array([[per_seed[s][t] for s in seeds] for t in range(n_rounds)])
-        tables.append(AccuracyTable(sdir.name, tuple(seeds), data))
+            runs.append((seed, [row["test_accuracy"] for row in read_record_csv(rec_path)]))
+        if runs:
+            tables.append(table_from_runs(sdir.name, runs))
     if not tables:
         raise ValueError(f"no strategy results under {root}")
     return tables
@@ -240,11 +234,16 @@ def _cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg["seeds"]
     out = Path(args.out or cfg["output_dir"])
     values = _parse_values(args.values)
+    subtrees = [f"{args.parameter}_{value:g}" for value in values]
+    for i, subtree in enumerate(subtrees):
+        if subtree in subtrees[:i]:
+            first = values[subtrees.index(subtree)]
+            raise ValueError(f"--values {first!r} and {values[i]!r} would share the subtree {subtree}/")
     specs = [_apply_ablation(cfg["strategy"], args.parameter, value) for value in values]
     for spec in specs:
         validate_config({**cfg, "strategy": spec})
-    for value, spec in zip(values, specs):
-        sub = out / f"{args.parameter}_{value:g}"
+    for subtree, value, spec in zip(subtrees, values, specs):
+        sub = out / subtree
         name, records = _run_strategy(cfg, spec, seeds, sub, jobs=_jobs(args), timings=args.timings)
         atomic_write_text(sub / "curve.csv", curve_csv_text(records, include_timings=args.timings))
         finals = [r.final_accuracy for r in records]
@@ -290,15 +289,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="acqbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
+    def add_common(p, config=True, jobs=True):
         if config:
             p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default $ACQBENCH_JOBS or 1)")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=None, help="worker processes (default $ACQBENCH_JOBS or 1)")
         p.add_argument("--timings", action="store_true", help="fill wall-time CSV columns (breaks byte-determinism)")
 
     p_run = sub.add_parser("run", help="run one experiment (first config seed by default)")
-    add_common(p_run)
+    add_common(p_run, jobs=False)
     p_run.add_argument("--seed", type=int, default=None, help="run seed override")
 
     p_sweep = sub.add_parser("sweep", help="run the config across seeds")

@@ -48,6 +48,19 @@ class AccuracyTable:
         return self.data.shape[0]
 
 
+def table_from_runs(name: str, runs) -> AccuracyTable:
+    """One strategy's table from (seed, per-round accuracies) pairs, in
+    seed order; every seed must appear once and have the same rounds."""
+    runs = sorted(runs, key=lambda run: run[0])
+    seeds = [seed for seed, _ in runs]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"{name}: duplicate seeds {seeds}")
+    lengths = {len(accs) for _, accs in runs}
+    if len(lengths) != 1:
+        raise ValueError(f"{name}: seeds disagree on round count {sorted(lengths)}")
+    return AccuracyTable(name, tuple(seeds), np.array([accs for _, accs in runs]).T)
+
+
 def accuracy_table(records: list[RunRecord]) -> AccuracyTable:
     """Assemble one strategy's table from its per-seed records (seed-sorted)."""
     if not records:
@@ -55,14 +68,7 @@ def accuracy_table(records: list[RunRecord]) -> AccuracyTable:
     names = {r.strategy for r in records}
     if len(names) != 1:
         raise ValueError(f"records mix strategies {sorted(names)}")
-    lengths = {len(r.rows) for r in records}
-    if len(lengths) != 1:
-        raise ValueError(f"records disagree on round count: {sorted(lengths)}")
-    ordered = sorted(records, key=lambda r: r.seed)
-    seeds = tuple(r.seed for r in ordered)
-    n_rounds = lengths.pop()
-    data = np.array([[r.rows[t].test_accuracy for r in ordered] for t in range(n_rounds)])
-    return AccuracyTable(names.pop(), seeds, data)
+    return table_from_runs(names.pop(), [(r.seed, [row.test_accuracy for row in r.rows]) for r in records])
 
 
 def t_score(a: np.ndarray, b: np.ndarray) -> float:

@@ -193,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             params,
             cfg.train_ds.X,
             labeled,
-            mdl.MCConfig(n_passes=cfg.n_passes, dropout_active=True, seed=derive_seed(cfg.seed, NS_MC, t)),
+            mdl.MCConfig(n_passes=cfg.n_passes, seed=derive_seed(cfg.seed, NS_MC, t)),
             round_index=t,
             run_seed=cfg.seed,
         )

@@ -258,11 +258,11 @@ class SeriesStrategy(Strategy):
     def __init__(self, *stages: Strategy, kappas):
         self.kappas = tuple(_number(k, "series kappas") for k in kappas)
         if not stages or len(stages) != len(self.kappas):
-            raise ValueError(f"series needs one kappa per constituent, got {len(self.kappas)} for {len(stages)}")
+            raise ValueError(f"series kappas must be one per constituent, got {len(self.kappas)} for {len(stages)}")
         if any(a < b for a, b in zip(self.kappas, self.kappas[1:])):
-            raise ValueError(f"shrink factors must be nonincreasing, got {self.kappas}")
+            raise ValueError(f"series kappas must be nonincreasing, got {self.kappas}")
         if self.kappas[-1] != 1.0:
-            raise ValueError(f"final shrink factor must be 1, got {self.kappas[-1]}")
+            raise ValueError(f"series kappas must end with 1, got {self.kappas[-1]}")
         shrink = "x".join(f"{k:g}" for k in self.kappas)
         super().__init__("series_" + "_".join(s.name for s in stages) + f"_k{shrink}", *stages)
 

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestValidateConfig:
         cfg["al"]["b"] = 2
         validate_config(cfg)
 
+    @pytest.mark.parametrize("kappas", [[2, 2], [1, 2], [2, 1, 1]])
+    def test_bad_series_kappas_named(self, kappas):
+        cfg = self._with_strategy({"kind": "series", "params": {"kappas": kappas},
+                                   "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]}, b=3)
+        with pytest.raises(ValueError, match="invalid 'strategy': series kappas"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("section,key", [("train", "lr"), ("model", "dropout"), ("params", "spread")])
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, section, key, literal):
@@ -298,6 +306,14 @@ class TestRunCommand:
         rc = main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc != 0
 
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        # one seed runs in-process; `run` has no worker pool to size
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", _write_config(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])
@@ -404,6 +420,33 @@ class TestCompareCommand:
         rc = main(["compare", str(tmp_path / "nothing")])
         assert rc != 0
 
+    def test_duplicate_seed_directories_rejected(self, tmp_path, capsys):
+        # 1/ and 01/ both parse to seed 1; neither may silently win
+        out = self._results_tree(tmp_path)
+        shutil.copytree(out / "random" / "1", out / "random" / "01")
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "random" in err and "duplicate seeds" in err
+        assert not (tmp_path / "h").exists()
+
+    def test_non_integer_seed_directory_rejected(self, tmp_path, capsys):
+        out = self._results_tree(tmp_path)
+        shutil.copytree(out / "entropy" / "1", out / "entropy" / "one")
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
+        assert rc == 1
+        assert "one: seed directory name must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
+    def test_round_count_disagreement_rejected(self, tmp_path, capsys):
+        out = self._results_tree(tmp_path)
+        record = out / "random" / "1" / "record.csv"
+        record.write_text("".join(record.read_text().splitlines(keepends=True)[:-1]))
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
+        assert rc == 1
+        assert "random: seeds disagree on round count [1, 2]" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
     def test_rerun_byte_identical_heatmap(self, tmp_path):
         out = self._results_tree(tmp_path)
         main(["compare", str(out), "--out", str(tmp_path / "h1")])
@@ -472,6 +515,26 @@ class TestAblateCommand:
                    "--parameter", "kappa", "--values", "2,0.5"])
         assert rc == 1
         assert "invalid 'strategy'" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
+    @pytest.mark.parametrize("values", ["1,1.0000001", "2,2"])
+    def test_colliding_subtree_names_exit_before_any_run(self, tmp_path, capsys, values):
+        cfg = _base_config(tmp_path / "abl")
+        cfg["strategy"] = {"kind": "annealing", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        rc = main(["ablate", "--config", _write_config(tmp_path, cfg),
+                   "--parameter", "rate", "--values", values])
+        assert rc == 1
+        first, second = (repr(float(v)) for v in values.split(","))
+        assert f"--values {first} and {second} would share the subtree rate_{float(first):g}/" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "abl").exists()
+
+    def test_bad_kappa_names_kappas(self, tmp_path, capsys):
+        rc = main(["ablate", "--config", self._series_config(tmp_path),
+                   "--parameter", "kappa", "--values", "0.5"])
+        assert rc == 1
+        assert "kappas" in capsys.readouterr().err
         assert not (tmp_path / "abl").exists()
 
     def test_curve_csv_is_well_formed(self, tmp_path):

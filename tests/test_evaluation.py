@@ -148,6 +148,10 @@ class TestAccuracyTable:
         with pytest.raises(ValueError):
             accuracy_table([])
 
+    def test_duplicate_seed_rejected_naming_strategy(self):
+        with pytest.raises(ValueError, match="bald: duplicate seeds"):
+            accuracy_table([_record("bald", 1, [0.5]), _record("bald", 1, [0.6])])
+
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             AccuracyTable("a", (1, 1), np.ones((2, 2)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acqbench import model
 from acqbench.model import (
     MCConfig,
     ModelParams,
@@ -10,7 +11,6 @@ from acqbench.model import (
     accuracy,
     features,
     init_model,
-    loss_and_grads,
     mc_predict,
     mean_cross_entropy,
     predict_proba,
@@ -18,9 +18,11 @@ from acqbench.model import (
 )
 
 
+WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
 def _params_equal(a: ModelParams, b: ModelParams) -> bool:
-    names = ("w1", "b1", "w2", "b2", "w3", "b3")
-    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in WEIGHTS)
 
 
 def _blobs(n_per_class=100, gap=6.0, spread=0.5, seed=3):
@@ -61,6 +63,26 @@ class TestInitModel:
         assert p.w2.shape == (8, 8)
         assert p.w3.shape == (8, 4)
         assert (p.input_dim, p.hidden, p.n_classes) == (3, 8, 4)
+
+
+class TestModelParams:
+    def test_callers_arrays_stay_writeable_and_detached(self):
+        p = init_model(2, 3, 2, dropout=0.5, seed=0)
+        given = {n: getattr(p, n).copy() for n in WEIGHTS}
+        q = ModelParams(dropout=0.5, **given)
+        for name, arr in given.items():
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, getattr(q, name))
+            assert not getattr(q, name).flags.writeable
+        given["w1"][0, 0] = 9.0
+        assert q.w1[0, 0] == p.w1[0, 0]
+
+    def test_non_finite_weights_rejected(self):
+        p = init_model(2, 3, 2, dropout=0.5, seed=0)
+        fields = {n: getattr(p, n) for n in WEIGHTS}
+        fields["b2"] = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="b2"):
+            ModelParams(dropout=0.5, **fields)
 
 
 class TestTrain:
@@ -106,46 +128,57 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(p, np.zeros((3, 2)), np.array([0, 1, 2]), TrainConfig())
 
+    def test_checks_inputs_and_builds_params_once(self, monkeypatch):
+        # the SGD steps run on plain arrays: one input check and one
+        # ModelParams per call, however many minibatches there are
+        calls = {"check": 0, "params": 0}
+        check, post_init = model._check_batch, ModelParams.__post_init__
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_post_init(self):
+            calls["params"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(model, "_check_batch", counted_check)
+        monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
+        X, y = _blobs(20)
+        p = init_model(2, 8, 2, dropout=0.5, seed=0)
+        train(p, X, y, TrainConfig(lr=0.1, epochs=3, minibatch=8, seed=1))
+        assert calls == {"check": 1, "params": 2}  # init_model's, then train's
+
     @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
     def test_non_positive_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
 
 
-def _fd_batch():
-    g = np.random.default_rng(0)
-    return g.normal(size=(8, 3)), g.integers(0, 4, size=8)
-
-
-def _loss_with(p: ModelParams, name: str, arr: np.ndarray) -> float:
-    fields = {n: getattr(p, n) for n in ("w1", "b1", "w2", "b2", "w3", "b3")}
-    fields[name] = arr
-    q = ModelParams(dropout=p.dropout, **fields)
-    X, y = _fd_batch()
-    loss, _ = loss_and_grads(q, X, y, mask=1.0)
-    return loss
-
-
 class TestGradients:
     def test_finite_difference_check(self):
-        # central differences on a fixed 8-sample batch, no dropout noise
-        X, y = _fd_batch()
+        # One full-batch SGD step with lr = 1 and no dropout moves every
+        # parameter by minus its gradient (up to rounding); central
+        # differences of mean_cross_entropy on the same fixed 8-sample
+        # batch must agree.
+        g = np.random.default_rng(0)
+        X, y = g.normal(size=(8, 3)), g.integers(0, 4, size=8)
         p = init_model(3, 6, 4, dropout=0.0, seed=1)
-        _, grads = loss_and_grads(p, X, y, mask=1.0)
+        q = train(p, X, y, TrainConfig(lr=1.0, epochs=1, minibatch=len(X), seed=0))
         h = 1e-4
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        for name in WEIGHTS:
             base = getattr(p, name)
             num = np.empty(base.size)
             for i in range(base.size):
-                up = base.copy().reshape(-1)
-                up[i] += h
-                down = base.copy().reshape(-1)
-                down[i] -= h
-                num[i] = (
-                    _loss_with(p, name, up.reshape(base.shape))
-                    - _loss_with(p, name, down.reshape(base.shape))
-                ) / (2 * h)
-            ana = grads[name].reshape(-1)
+                losses = []
+                for step in (h, -h):
+                    moved = base.copy().reshape(-1)
+                    moved[i] += step
+                    fields = {n: getattr(p, n) for n in WEIGHTS}
+                    fields[name] = moved.reshape(base.shape)
+                    losses.append(mean_cross_entropy(ModelParams(dropout=0.0, **fields), X, y))
+                num[i] = (losses[0] - losses[1]) / (2 * h)
+            ana = (base - getattr(q, name)).reshape(-1)
             scale = np.maximum(np.abs(num), 1e-8)
             rel = np.abs(ana - num) / scale
             assert rel.max() < 1e-3, f"{name}: max rel err {rel.max()}"
@@ -157,13 +190,6 @@ class TestMCPredict:
         X = np.random.default_rng(1).normal(size=(5, 2))
         t = mc_predict(p, X, MCConfig(n_passes=5, seed=2))
         for k in range(1, 5):
-            np.testing.assert_array_equal(t.data[0], t.data[k])
-
-    def test_dropout_inactive_identical_passes(self):
-        p = init_model(2, 8, 3, dropout=0.5, seed=0)
-        X = np.random.default_rng(1).normal(size=(5, 2))
-        t = mc_predict(p, X, MCConfig(n_passes=4, dropout_active=False, seed=2))
-        for k in range(1, 4):
             np.testing.assert_array_equal(t.data[0], t.data[k])
 
     def test_rows_are_distributions(self):

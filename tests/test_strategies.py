@@ -14,7 +14,7 @@ def _state(n=30, n_labeled=6, n_passes=3, seed=0):
     X = g.normal(size=(n, 4))
     params = mdl.init_model(4, 8, 3, dropout=0.3, seed=seed)
     labeled = np.arange(n_labeled, dtype=np.int64)
-    mc = mdl.MCConfig(n_passes=n_passes, dropout_active=True, seed=seed)
+    mc = mdl.MCConfig(n_passes=n_passes, seed=seed)
     return RoundState(params, X, labeled, mc, round_index=1, run_seed=seed)
 
 

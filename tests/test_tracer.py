@@ -1,0 +1,89 @@
+"""The benchmark's tracer still binds to the names it reads in acqbench.
+
+`bench/tracer.py` wraps acqbench's public functions from outside. Its
+counters read call arguments by name (`train`'s `cfg` and `X`,
+`mc_predict`'s `X` and `mc`, `features`' `X`, `sweep`'s `seeds` and
+`jobs`), and it wraps `simulator._run_with_seed` so that sweep workers
+write out their spans. This test installs the tracer in a fresh process,
+runs a tiny two-worker sweep, and checks that every per-layer metric
+computes and accounts for every run, round and forward pass. Renaming one
+of those names under `src/` fails here, not first in the benchmark.
+
+The tracer is loaded from its file with bytecode writing off, as
+`test_workloads.py` loads `workloads.py`, so nothing under bench/ changes.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+SCRIPT = """
+import importlib.util, json, sys
+tracer_path, trace_dir, config = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("bench_tracer", tracer_path)
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+recorder = tracer.Tracer(trace_dir)
+recorder.install()
+from acqbench.cli import main
+code = main(["sweep", "--config", config, "--jobs", "2"])
+recorder.dump("main")
+metrics = tracer.layer_metrics(tracer.load_spans(trace_dir))
+print(json.dumps({"code": code, "metrics": metrics, "per_layer": sorted(tracer.PER_LAYER)}))
+"""
+
+
+def _bench_files():
+    return {p: p.stat().st_mtime_ns for p in BENCH.rglob("*")}
+
+
+def test_tracer_computes_every_per_layer_metric(tmp_path):
+    config = {
+        "dataset": {"kind": "grid", "params": {"cells_per_side": 3, "n_per_cell": 12, "seed": 1}},
+        "model": {"hidden": 8, "dropout": 0.2},
+        "train": {"lr": 0.1, "epochs": 3, "minibatch": 8},
+        "mc": {"n_passes": 3},
+        "al": {"M": 4, "T": 2, "b": 3},
+        "strategy": {"kind": "series", "params": {"kappas": [2, 1]},
+                     "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "ACQBENCH_JOBS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    before = _bench_files()
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert _bench_files() == before
+
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    assert sorted(metrics) == sorted(set(result["per_layer"]) - {"trace.overhead_s"})
+    assert all(math.isfinite(v) for v in metrics.values())
+
+    from acqbench.simulator import read_record_csv
+
+    rows = [row for seed in (0, 1)
+            for row in read_record_csv(tmp_path / "out" / "series_k_centers_bald_k2x1" / str(seed) / "record.csv")]
+    assert metrics["simulator.rounds"] == len(rows) == 4
+    assert metrics["model.train.calls"] == 2 * (1 + 2)
+    assert metrics["model.train.steps"] > 0 and metrics["model.train.ms"] > 0
+    assert metrics["strategies.n_infer_mc"] > 0 and metrics["strategies.n_infer_features"] > 0
+    assert metrics["strategies.n_infer_mc"] + metrics["strategies.n_infer_features"] == sum(
+        row["n_infer"] for row in rows
+    )
+    assert metrics["simulator.sweep.ms"] > 0
