@@ -183,10 +183,13 @@ def _discover_tables(root: Path) -> list[AccuracyTable]:
     for sdir in sorted(p for p in root.iterdir() if p.is_dir()):
         runs = []
         for rec_path in sorted(sdir.glob("*/record.csv")):
+            name = rec_path.parent.name
             try:
-                seed = int(rec_path.parent.name)
+                seed = int(name)
             except ValueError:
-                raise ValueError(f"{rec_path.parent}: seed directory name must be an integer") from None
+                seed = None
+            if seed is None or str(seed) != name:
+                raise ValueError(f"{rec_path.parent}: seed directory name must be an integer as sweep writes it")
             runs.append((seed, [row["test_accuracy"] for row in read_record_csv(rec_path)]))
         if runs:
             tables.append(table_from_runs(sdir.name, runs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 
 import numpy as np
 
@@ -177,7 +178,8 @@ def _cell_color(v: float) -> str:
 
 
 def heatmap_svg_text(hm: WinningRateMatrix) -> str:
-    """Self-contained SVG rendering of the matrix with a row-average column."""
+    """Self-contained SVG rendering of the matrix with a row-average column.
+    Names are XML-escaped: `compare` reads them off directory names."""
     k = len(hm.names)
     cell = 52
     left = 16 + max(len(n) for n in hm.names) * 8
@@ -198,7 +200,7 @@ def heatmap_svg_text(hm: WinningRateMatrix) -> str:
         x = left + j * cell + cell / 2
         parts.append(
             f'<text x="{x}" y="{top - 6}" text-anchor="start" '
-            f'transform="rotate(-55 {x} {top - 6})">{name}</text>'
+            f'transform="rotate(-55 {x} {top - 6})">{escape(name)}</text>'
         )
     avg_x = left + k * cell + gap + cell / 2
     parts.append(
@@ -207,7 +209,7 @@ def heatmap_svg_text(hm: WinningRateMatrix) -> str:
     )
     for i, name in enumerate(hm.names):
         y = top + i * cell
-        parts.append(f'<text x="{left - 8}" y="{y + cell / 2 + 4}" text-anchor="end">{name}</text>')
+        parts.append(f'<text x="{left - 8}" y="{y + cell / 2 + 4}" text-anchor="end">{escape(name)}</text>')
         for j in range(k):
             v = float(hm.matrix[i, j])
             x = left + j * cell

@@ -1,11 +1,14 @@
 """Pool-based batch active-learning loop and its run artifacts.
 
-One experiment: seed `initial_labeled` points, train from scratch, then for
-`rounds` rounds draw a candidate pool from the unlabeled set, let the
-strategy pick `budget` points with the current model, reveal their labels,
-retrain from scratch, and record test accuracy plus acquisition cost. All
-randomness is keyed by (run seed, namespace, round), so records are
-bit-identical across re-runs and across processes in a sweep.
+One experiment: `start` seeds `initial_labeled` points and trains from
+scratch; each `step` then draws a candidate pool from the unlabeled set,
+lets the strategy pick `budget` points with the current model, reveals
+their labels, retrains from scratch, and records test accuracy plus
+acquisition cost. `run_experiment` is `start` followed by `rounds` steps.
+A `Run` carries all of its own state (labeled mask, model, strategy tree,
+rows), so runs can be advanced in any interleaving. All randomness is keyed
+by (run seed, namespace, round), so records are bit-identical across
+re-runs and across processes in a sweep.
 
 Inference accounting covers acquisition-phase forward passes only (what the
 strategy asked the model for). Test-set evaluation and the batch-loss probe
@@ -38,7 +41,7 @@ from .rng import (
     derive_seed,
     stream,
 )
-from .strategies import RoundState, _integer, build_strategy
+from .strategies import RoundState, Strategy, _integer, build_strategy
 
 
 def _timing(cell: str) -> float | None:
@@ -146,91 +149,87 @@ def oracle_label(ds: Dataset, indices: np.ndarray) -> np.ndarray:
     return ds.y[idx]
 
 
-def _retrain(cfg: ExperimentConfig, labeled: np.ndarray, round_index: int) -> mdl.ModelParams:
-    """From-scratch fit on the current labeled set with round-derived seeds."""
-    init = mdl.init_model(
-        cfg.train_ds.X.shape[1],
-        cfg.hidden,
-        cfg.train_ds.n_classes,
-        cfg.dropout,
-        seed=derive_seed(cfg.seed, NS_MODEL_INIT, round_index),
+def _fit(cfg: ExperimentConfig, labeled: np.ndarray, t: int) -> tuple[mdl.ModelParams, float, float]:
+    """From-scratch fit on the labeled mask with round-derived seeds:
+    (params, train ms, test accuracy). The timing covers init and training."""
+    t0 = time.perf_counter()
+    idx = np.flatnonzero(labeled)
+    n_in, n_classes = cfg.train_ds.X.shape[1], cfg.train_ds.n_classes
+    init = mdl.init_model(n_in, cfg.hidden, n_classes, cfg.dropout, seed=derive_seed(cfg.seed, NS_MODEL_INIT, t))
+    tc = mdl.TrainConfig(lr=cfg.lr, epochs=cfg.epochs, minibatch=cfg.minibatch, seed=derive_seed(cfg.seed, NS_TRAIN, t))
+    params = mdl.train(init, cfg.train_ds.X[idx], oracle_label(cfg.train_ds, idx), tc)
+    train_ms = (time.perf_counter() - t0) * 1000.0
+    return params, train_ms, mdl.accuracy(params, cfg.test_ds.X, cfg.test_ds.y)
+
+
+@dataclass
+class Run:
+    """One run in progress; `step` reads and advances only this state.
+    `labeled` is a boolean mask over the training split."""
+
+    cfg: ExperimentConfig
+    strategy: Strategy
+    labeled: np.ndarray
+    params: mdl.ModelParams
+    initial_accuracy: float
+    rows: list[RoundRow] = field(default_factory=list)
+
+
+def start(cfg: ExperimentConfig) -> Run:
+    """Build and budget-check the strategy tree, draw the initial labels,
+    and fit and evaluate the round-0 model."""
+    strategy = build_strategy(cfg.strategy_spec)
+    strategy.check_budget(cfg.budget)
+    labeled = np.zeros(len(cfg.train_ds), dtype=bool)
+    labeled[stream(cfg.seed, NS_INIT_LABELED).choice(len(labeled), size=cfg.initial_labeled, replace=False)] = True
+    params, _, accuracy = _fit(cfg, labeled, 0)
+    return Run(cfg, strategy, labeled, params, accuracy)
+
+
+def step(run: Run) -> RoundRow:
+    """Advance `run` by one round: draw the pool, select, reveal the batch,
+    refit and evaluate. Appends the round's row and returns it."""
+    cfg, t = run.cfg, len(run.rows) + 1
+    pool = np.flatnonzero(~run.labeled)
+    if len(pool) > cfg.pool_size:
+        pool = np.sort(stream(cfg.seed, NS_POOL_DRAW, t).choice(pool, size=cfg.pool_size, replace=False))
+
+    mc = mdl.MCConfig(n_passes=cfg.n_passes, seed=derive_seed(cfg.seed, NS_MC, t))
+    state = RoundState(run.params, cfg.train_ds.X, np.flatnonzero(run.labeled), mc, round_index=t, run_seed=cfg.seed)
+    t0 = time.perf_counter()
+    batch = run.strategy.select(state, pool, cfg.budget, (cfg.seed, NS_ACQUIRE, t))
+    acq_ms = (time.perf_counter() - t0) * 1000.0
+    batch = check_selection(pool, batch, cfg.budget)
+
+    batch_loss = mdl.mean_cross_entropy(run.params, cfg.train_ds.X[batch], oracle_label(cfg.train_ds, batch))
+    run.strategy.observe_loss(batch_loss)
+    run.labeled[batch] = True
+    run.params, train_ms, accuracy = _fit(cfg, run.labeled, t)
+
+    row = RoundRow(
+        round=t,
+        n_labeled=int(run.labeled.sum()),
+        test_accuracy=accuracy,
+        batch_loss_prev_model=batch_loss,
+        strategy_tag=run.strategy.last_tag,
+        acq_ms=acq_ms,
+        train_ms=train_ms,
+        n_infer=state.meter.total,
+        n_infer_mc=state.meter.mc,
+        n_infer_features=state.meter.features,
+        selected=tuple(int(i) for i in batch),
     )
-    tc = mdl.TrainConfig(
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        minibatch=cfg.minibatch,
-        seed=derive_seed(cfg.seed, NS_TRAIN, round_index),
-    )
-    X = cfg.train_ds.X[labeled]
-    y = oracle_label(cfg.train_ds, labeled)
-    return mdl.train(init, X, y, tc)
+    run.rows.append(row)
+    return row
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Run one seeded experiment to completion."""
-    strategy = build_strategy(cfg.strategy_spec)
-    strategy.check_budget(cfg.budget)
-    n = len(cfg.train_ds)
-    labeled = np.sort(
-        stream(cfg.seed, NS_INIT_LABELED).choice(n, size=cfg.initial_labeled, replace=False)
-    )
-    unlabeled = np.setdiff1d(np.arange(n), labeled)
-
-    params = _retrain(cfg, labeled, round_index=0)
-    initial_accuracy = mdl.accuracy(params, cfg.test_ds.X, cfg.test_ds.y)
-
-    rows: list[RoundRow] = []
-    for t in range(1, cfg.rounds + 1):
-        if len(unlabeled) > cfg.pool_size:
-            drawn = stream(cfg.seed, NS_POOL_DRAW, t).choice(
-                unlabeled, size=cfg.pool_size, replace=False
-            )
-            pool = np.sort(drawn)
-        else:
-            pool = unlabeled.copy()
-
-        state = RoundState(
-            params,
-            cfg.train_ds.X,
-            labeled,
-            mdl.MCConfig(n_passes=cfg.n_passes, seed=derive_seed(cfg.seed, NS_MC, t)),
-            round_index=t,
-            run_seed=cfg.seed,
-        )
-        t0 = time.perf_counter()
-        batch = strategy.select(state, pool, cfg.budget, (cfg.seed, NS_ACQUIRE, t))
-        acq_ms = (time.perf_counter() - t0) * 1000.0
-        batch = check_selection(pool, batch, cfg.budget)
-
-        batch_loss = mdl.mean_cross_entropy(params, cfg.train_ds.X[batch], oracle_label(cfg.train_ds, batch))
-        strategy.observe_loss(batch_loss)
-
-        labeled = np.sort(np.concatenate([labeled, batch]))
-        unlabeled = np.setdiff1d(unlabeled, batch)
-
-        t0 = time.perf_counter()
-        params = _retrain(cfg, labeled, round_index=t)
-        train_ms = (time.perf_counter() - t0) * 1000.0
-
-        rows.append(
-            RoundRow(
-                round=t,
-                n_labeled=len(labeled),
-                test_accuracy=mdl.accuracy(params, cfg.test_ds.X, cfg.test_ds.y),
-                batch_loss_prev_model=batch_loss,
-                strategy_tag=strategy.last_tag,
-                acq_ms=acq_ms,
-                train_ms=train_ms,
-                n_infer=state.meter.total,
-                n_infer_mc=state.meter.mc,
-                n_infer_features=state.meter.features,
-                selected=tuple(int(i) for i in batch),
-            )
-        )
-
-    return RunRecord(
-        strategy=strategy.name, seed=cfg.seed, initial_accuracy=initial_accuracy, rows=tuple(rows)
-    )
+    """Run one seeded experiment to completion: `start`, then one `step`
+    per round."""
+    run = start(cfg)
+    for _ in range(cfg.rounds):
+        step(run)
+    return RunRecord(run.strategy.name, cfg.seed, run.initial_accuracy, tuple(run.rows))
 
 
 def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:

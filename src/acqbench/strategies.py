@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -125,7 +126,10 @@ class Strategy:
         raise NotImplementedError
 
     def observe_loss(self, loss: float) -> None:
-        """Post-round hook fed the selecting model's loss on the batch."""
+        """Post-round hook fed the selecting model's loss on the batch;
+        every node of the tree observes it."""
+        for sub in self.constituents:
+            sub.observe_loss(loss)
 
     def budgets(self, budget: int) -> list[int]:
         """Each constituent's budget when this node picks `budget`; the
@@ -369,6 +373,7 @@ class FeedbackStrategy(_AlternatingStrategy):
 
     def observe_loss(self, loss):
         self.state = feedback_update(self.state, loss)
+        super().observe_loss(loss)
 
 
 class AnnealingStrategy(_AlternatingStrategy):
@@ -463,6 +468,9 @@ KINDS: dict[str, Kind] = {
 KNOWN_KINDS = tuple(KINDS)
 
 _SPEC = {"kind": str, "params": {}, "constituents": [], "name": ""}
+# A name becomes a results directory and heatmap label, so it is one path
+# component that never climbs (`..`) or hides (`.x`); every derived name fits.
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
 
 
 def build_strategy(spec: dict) -> Strategy:
@@ -478,8 +486,9 @@ def build_strategy(spec: dict) -> Strategy:
     if kind not in KINDS:
         raise ValueError(f"unknown strategy kind {kind!r}, expected one of {sorted(KINDS)}")
     schema = KINDS[kind]
-    if "name" in spec and not node["name"]:
-        raise ValueError("strategy 'name' must be a nonempty string")
+    if "name" in spec and not _NAME.fullmatch(node["name"]):
+        raise ValueError(f"strategy 'name' must be a letter or digit, then letters, digits or _.+-, "
+                         f"got {node['name']!r}")
     subs = node["constituents"]
     if schema.arity is not None and len(subs) != schema.arity:
         raise ValueError(f"strategy {kind!r} needs exactly {schema.arity} constituents, got {len(subs)}")

@@ -235,6 +235,7 @@ def test_criterion_6_inference_cost_formulas():
     _report(6, t0, f"10000 / 2200 / 2700 inferences, {ratio:.2f}x saving")
 
 
+@pytest.mark.slow
 def test_criterion_7_toy_benchmark_ordering(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "toy"

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import shutil
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -354,6 +355,16 @@ class TestSweepCommand:
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["../x", "a/b", ".", "a<b"])
+    def test_unsafe_strategy_name_rejected_before_any_write(self, tmp_path, capsys, name):
+        # "../x" would put the records beside output_dir; "a<b" breaks the SVG
+        cfg = _base_config(tmp_path / "out")
+        cfg["strategy"] = {"kind": "entropy", "name": name}
+        rc = main(["sweep", "--config", _write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert "strategy 'name' must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "seq"), "--jobs", "1"])
@@ -426,9 +437,26 @@ class TestCompareCommand:
         shutil.copytree(out / "random" / "1", out / "random" / "01")
         rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "random" in err and "duplicate seeds" in err
+        assert "01: seed directory name must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "h").exists()
+
+    @pytest.mark.parametrize("seed_dir", ["1_0", "+1", "01"])
+    def test_seed_directory_sweep_never_writes_rejected(self, tmp_path, capsys, seed_dir):
+        # int() reads these as 10, 1 and 1; sweep names seed s's directory str(s)
+        out = self._results_tree(tmp_path)
+        (out / "random" / "1").rename(out / "random" / seed_dir)
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
+        assert rc == 1
+        assert f"{seed_dir}: seed directory name must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
+    def test_svg_escapes_strategy_directory_names(self, tmp_path):
+        out = self._results_tree(tmp_path)
+        (out / "random").rename(out / "a<b&c")
+        assert main(["compare", str(out), "--out", str(tmp_path / "h")]) == 0
+        svg = xml.dom.minidom.parse(str(tmp_path / "h" / "heatmap.svg"))
+        labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert labels.count("a<b&c") == 2
 
     def test_non_integer_seed_directory_rejected(self, tmp_path, capsys):
         out = self._results_tree(tmp_path)

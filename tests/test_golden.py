@@ -17,6 +17,7 @@ import pytest
 
 from acqbench.datasets import make_grid_toy, split
 from acqbench.simulator import ExperimentConfig, record_csv_text, run_experiment, write_record
+from acqbench.strategies import build_strategy
 
 
 def _leaf(kind, **params):
@@ -85,7 +86,7 @@ PINS = {
     "series": "3f5747052fcb29b6b77184a7cd72c878e55acdf9832be6eb78135f50e138bc40",
     "series_badge_parallel": "4f594ceab65d644c0b66fa4c7470f4d108281649399175c4cefdf5c0060da593",
     "series_bald_hybrid": "9c73588c0b1e6b0747433ecc70c8400c181b0e25215e4a882b83e2e550bf2944",
-    "series_k_centers_feedback": "c286090ba11a4f70437ac61ada02825034e0c38e4e006ce2f65732dc8daad156",
+    "series_k_centers_feedback": "a2ffc8c22c6a9ebce4d0d788f96011bffd72cc88e86bfa1647c0c8a887bd567b",
 }
 
 
@@ -124,6 +125,12 @@ def test_golden_digest(case):
 @pytest.mark.parametrize("case", sorted(POOL_PINS))
 def test_golden_digest_large_pool(case):
     assert _digest(SPECS[case], large=True) == POOL_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(SPECS))
+def test_derived_name_passes_the_name_rule(case):
+    name = build_strategy(SPECS[case]).name
+    assert build_strategy({**SPECS[case], "name": name}).name == name
 
 
 def _fixed_timings(record):

@@ -17,6 +17,8 @@ from acqbench.simulator import (
     record_csv_text,
     record_summary,
     run_experiment,
+    start,
+    step,
     sweep,
     write_record,
 )
@@ -101,6 +103,49 @@ class TestLoopBookkeeping:
         a = run_experiment(_config({"kind": "random"}, seed=1))
         b = run_experiment(_config({"kind": "random"}, seed=2))
         assert _strip_timings(a) != _strip_timings(b)
+
+
+def _alternator(kind, **params):
+    return {"kind": kind, "params": params, "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+
+
+class TestStep:
+    @pytest.mark.parametrize("spec", [
+        _alternator("feedback"),
+        _alternator("annealing", t_initial=1, t_exploit=1, t_explore=1),
+        _alternator("random_alternate"),
+    ], ids=["feedback", "annealing", "random_alternate"])
+    def test_runs_advanced_round_robin_match_run_experiment(self, spec):
+        # every run carries its own state, so interleaving them changes nothing
+        cfgs = [_config(spec, seed=s) for s in (0, 1, 2)]
+        runs = [start(cfg) for cfg in cfgs]
+        for t in range(1, cfgs[0].rounds + 1):
+            for run in runs:
+                row = step(run)
+                assert row is run.rows[-1]
+                assert row.round == t
+                assert row.n_labeled == run.cfg.initial_labeled + t * run.cfg.budget
+        for cfg, run in zip(cfgs, runs):
+            solo = run_experiment(cfg)
+            stepped = RunRecord(run.strategy.name, cfg.seed, run.initial_accuracy, tuple(run.rows))
+            assert record_csv_text(stepped) == record_csv_text(solo)
+            assert [r.selected for r in stepped.rows] == [r.selected for r in solo.rows]
+            assert stepped.initial_accuracy == solo.initial_accuracy
+
+    def test_nested_feedback_observes_every_round_loss(self):
+        spec = {"kind": "series", "params": {"kappas": [2, 1]},
+                "constituents": [{"kind": "k_centers"}, _alternator("feedback")]}
+        run = start(_config(spec, rounds=4))
+        for _ in range(4):
+            step(run)
+        nested = run.strategy.constituents[1]
+        assert nested.state.losses == tuple(r.batch_loss_prev_model for r in run.rows)
+
+    def test_labeled_mask_grows_by_each_batch(self):
+        run = start(_config({"kind": "entropy"}))
+        before = run.labeled.copy()
+        row = step(run)
+        assert np.flatnonzero(run.labeled & ~before).tolist() == sorted(row.selected)
 
 
 class TestInferenceAccounting:
