@@ -174,6 +174,30 @@ def _check_features(f: np.ndarray, name: str = "features") -> np.ndarray:
     return f
 
 
+def _closer_sq(rows: np.ndarray, row_sq: np.ndarray, centers: np.ndarray, current: np.ndarray):
+    """(i, exact `((rows[i] - centers[j]) ** 2).sum(axis=-1)`) for the pairs
+    whose bound says they can beat `current[i]`.
+
+    The bound |p|^2 + |c|^2 - 2 p.c (`row_sq` is |p|^2) is one GEMM and only
+    filters: its error grows with the norms, not the distance. With unit
+    roundoff u and width w it is within (2w + 1) u (|p|^2 + |c|^2) + u |bound|
+    of the distance, a computed distance within (w + 2) u of it; `slack`
+    covers both (times 1 + 2^-20, plus 4w subnormals). A pair is skipped
+    only when bound - slack > `current[i]`, first lowered to the row's least
+    bound + slack; a NaN bound keeps it. Kept pairs get the full tensor's
+    bits; when most pass, one broadcast gives each row's minimum instead.
+    """
+    w, fp = rows.shape[1], np.finfo(np.float64)
+    norms = row_sq[:, None] + (centers**2).sum(axis=1)
+    approx = norms - 2.0 * (rows @ centers.T)
+    slack = (1 + 2.0**-20) * fp.eps / 2 * ((2 * w + 1) * norms + (w + 4) * np.abs(approx)) + 4 * w * fp.smallest_subnormal
+    keep = ~(approx - slack > np.minimum(current, (approx + slack).min(axis=1))[:, None])
+    if 2 * np.count_nonzero(keep) > keep.size:  # one broadcast beats gathering most pairs
+        return np.arange(len(rows)), ((rows[:, None] - centers) ** 2).sum(axis=-1).min(axis=1)
+    i, j = np.nonzero(keep)
+    return i, ((rows[i] - centers[j]) ** 2).sum(axis=-1)
+
+
 def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b: int) -> np.ndarray:
     """Greedy farthest-first traversal (k-center 2-approximation).
 
@@ -181,13 +205,10 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     labeled set plus the picks so far. An empty labeled set leaves every
     distance infinite, so the first pick is position 0 by the tie rule.
 
-    The nearest-labeled distances are computed over blocks of pool rows,
-    so the pool-minus-labeled differences never take more than about
-    `_BLOCK_BYTES` (or one pool row's worth, if larger) instead of
-    pool x labeled x width floats. Each squared distance is summed exactly
-    as over the full tensor, and the square root is taken after the
-    minimum, which gives the same value because sqrt is monotone and
-    correctly rounded.
+    Squared distances come from `_closer_sq`, one GEMM per block of pool
+    rows (about `_BLOCK_BYTES` of differences if every pair survives) and
+    one GEMV per pick. The argmax runs on the minima's square roots, so
+    distinct squares that round to one root still tie to the lowest position.
     """
     pool = _check_features(pool_features, "pool features")
     labeled = _check_features(labeled_features, "labeled features") if len(labeled_features) else None
@@ -195,24 +216,23 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
         raise ValueError("pool and labeled feature widths differ")
     _check_budget(b, len(pool))
 
-    if labeled is None or len(labeled) == 0:
-        min_d = np.full(len(pool), np.inf)
-    else:
-        min_d = np.empty(len(pool))
+    pool_sq = (pool**2).sum(axis=1)
+    min_sq = np.full(len(pool), np.inf)
+    if labeled is not None:
         rows = max(1, _BLOCK_BYTES // max(labeled.nbytes, 1))
         for lo in range(0, len(pool), rows):
-            diffs = pool[lo : lo + rows, None, :] - labeled[None, :, :]
-            np.square(diffs, out=diffs)
-            diffs.sum(axis=2).min(axis=1, out=min_d[lo : lo + rows])
-        np.sqrt(min_d, out=min_d)
+            i, sq = _closer_sq(pool[lo : lo + rows], pool_sq[lo : lo + rows], labeled, min_sq[lo : lo + rows])
+            np.minimum.at(min_sq, lo + i, sq)
+    min_d = np.sqrt(min_sq)
 
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):
         pick = int(np.argmax(min_d))
         chosen[step] = pick
-        d_new = np.sqrt(((pool - pool[pick]) ** 2).sum(axis=1))
-        min_d = np.minimum(min_d, d_new)
-        min_d[pick] = -np.inf
+        i, sq = _closer_sq(pool, pool_sq, pool[pick : pick + 1], min_sq)
+        min_sq[i] = np.minimum(min_sq[i], sq)
+        min_d[i] = np.sqrt(min_sq[i])
+        min_d[chosen[: step + 1]] = -np.inf
     return chosen
 
 
@@ -249,6 +269,7 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
     chosen = [int(g.integers(n))]
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
+    emb_sq = (emb**2).sum(axis=1)
     sq_d = ((emb - emb[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < b:
         remaining = np.flatnonzero(~taken)
@@ -260,7 +281,8 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
             pick = int(g.choice(remaining, p=w / total))
         chosen.append(pick)
         taken[pick] = True
-        sq_d = np.minimum(sq_d, ((emb - emb[pick]) ** 2).sum(axis=1))
+        i, sq = _closer_sq(emb, emb_sq, emb[pick : pick + 1], sq_d)
+        sq_d[i] = np.minimum(sq_d[i], sq)
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -287,17 +309,16 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     least (1 - 1/e) of the optimal batch value.
 
     Lazy greedy (Minoux 1978): a gain can only shrink as the batch grows,
-    so each candidate's last computed gain bounds its current one. A step
-    recomputes gains in blocks of `_GAIN_BLOCK` candidates, highest bound
-    first, and stops once no bound left, plus a slack for rounding,
-    reaches the best fresh gain. The picks are those of recomputing every
-    gain every step: each gain is summed over the pool rows strictly in
-    order, as numpy's `sum(axis=0)` of the full n x n matrix does, by
-    taking `np.cumsum` (a pairwise `sum` over a candidate's row or over a
-    column subset can differ in the last bit, which flips near-ties), and
-    ties still go to the lowest position. The n x n similarity matrix is
-    held in full, once: it is exactly symmetric, so each candidate's
-    similarities are one contiguous row of it.
+    so each candidate's last computed gain, first its row's pairwise sum
+    of max(sim, 0), bounds its current one. A step recomputes gains in
+    blocks of `_GAIN_BLOCK` candidates, highest bound first, until no bound
+    left, plus a rounding slack, reaches the best fresh gain. The picks
+    are those of recomputing every gain: a fresh gain is summed over the
+    pool rows in order, as `sum(axis=0)` of the n x n matrix does, by
+    `np.cumsum` (a pairwise sum can differ in the last bit and flip a near
+    tie; so can the axis-0 sum of a transposed one-row block, which numpy
+    sees as contiguous); ties go to the lowest position. The matrix is held
+    once: it is exactly symmetric, so a candidate's similarities are a row.
     """
     pool = _check_features(pool_features, "pool features")
     n = len(pool)
@@ -305,9 +326,12 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     cols = _cosine_similarity_matrix(pool)
     # A gain is a sum of n terms in [0, 1] minus a sum of n covers in
     # [0, 1], so its computed value is within about n^2 eps of the exact
-    # one, and a fresh gain can exceed its stale bound by about twice that.
+    # one, and a fresh gain can exceed its stale or pairwise bound by about
+    # twice that.
     slack = 4.0 * n * n * np.finfo(np.float64).eps
-    bound = np.full(n, np.inf)
+    bound = np.empty(n)
+    for lo in range(0, n, _GAIN_BLOCK):
+        np.maximum(cols[lo : lo + _GAIN_BLOCK], 0.0).sum(axis=1, out=bound[lo : lo + _GAIN_BLOCK])
     cover = np.zeros(n)
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):
@@ -329,16 +353,6 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
         bound[pick] = -np.inf
         cover = np.maximum(cover, cols[pick])
     return chosen
-
-
-def facility_location_value(pool_features: np.ndarray, batch: np.ndarray) -> float:
-    """Objective value of a batch under the same floored-cosine coverage."""
-    pool = _check_features(pool_features, "pool features")
-    batch = np.asarray(batch, dtype=np.int64)
-    if len(batch) == 0:
-        return 0.0
-    sims = _cosine_similarity_matrix(pool)
-    return float(np.maximum(sims[:, batch].max(axis=1), 0.0).sum())
 
 
 def select_disparity_min(candidate_features: np.ndarray, b: int, seed_index: int = 0) -> np.ndarray:

@@ -12,7 +12,6 @@ child seed keys and call into this module for each decision.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -152,13 +151,6 @@ def annealing_phase(sched: AnnealingSchedule, t: int) -> str:
         if t <= length:
             return phase
         t -= length
-
-
-def exploit_lengths(sched: AnnealingSchedule, n: int) -> list[int]:
-    """First n exploit phase lengths implied by the schedule."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return list(itertools.islice((length for phase, length in _phases(sched) if phase == EXPLOIT), n))
 
 
 # --- fair-coin alternation ----------------------------------------------------

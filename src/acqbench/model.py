@@ -127,12 +127,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float):
+def _first_layer(w: tuple[np.ndarray, ...], X: np.ndarray):
+    z1 = X @ w[0] + w[1]
+    return z1, np.maximum(z1, 0.0)
+
+
+def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float, first=None):
     """One pass. `mask` multiplies the first hidden activation (inverted
-    dropout: Bernoulli(keep)/keep during stochastic passes, 1.0 otherwise)."""
-    w1, b1, w2, b2, w3, b3 = w
-    z1 = X @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
+    dropout: Bernoulli(keep)/keep during stochastic passes, 1.0 otherwise);
+    `first` is `_first_layer(w, X)`, when the caller already has it."""
+    _, _, w2, b2, w3, b3 = w
+    z1, a1 = first or _first_layer(w, X)
     a1d = a1 * mask
     z2 = a1d @ w2 + b2
     a2 = np.maximum(z2, 0.0)
@@ -200,9 +205,10 @@ def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor
     n = X.shape[0]
     keep = 1.0 - p.dropout
     passes = np.empty((mc.n_passes, n, p.n_classes))
+    first = _first_layer(p.weights, X)  # dropout acts after it, so every pass shares it
     for k in range(mc.n_passes):
         mask = (stream(mc.seed, NS_MC, k).random((n, p.hidden)) < keep) / keep if p.dropout > 0.0 else 1.0
-        *_, z3 = _forward(p.weights, X, mask)
+        *_, z3 = _forward(p.weights, X, mask, first)
         passes[k] = _softmax(z3)
     return ProbabilityTensor(passes)
 

@@ -112,13 +112,20 @@ class RoundState:
 
 
 class Strategy:
-    """Base: one select() per round; alternators overwrite `last_tag`.
-    `constituents` are the strategies a structure routes to (a leaf has none)."""
+    """Base: one select() per round. `constituents` are the strategies a
+    structure routes to (a leaf has none)."""
 
     def __init__(self, name: str, *constituents: Strategy):
         self.name = name
-        self.last_tag = name
         self.constituents = constituents
+
+    @property
+    def last_tag(self) -> str:
+        """What the last select() ran: the name, or `name[tag_1,tag_2,...]`
+        when a constituent's tag is not its name."""
+        tags = [sub.last_tag for sub in self.constituents]
+        same = tags == [sub.name for sub in self.constituents]
+        return self.name if same else f"{self.name}[{','.join(tags)}]"
 
     def select(
         self, state: RoundState, candidates: np.ndarray, budget: int, seed: tuple[int, ...]
@@ -353,11 +360,17 @@ class _AlternatingStrategy(Strategy):
     """Structures that run one arm per round, explore or exploit; a
     subclass only decides which, in `choose(state)`."""
 
+    ran = None  # (choice, arm) of the last select()
+
+    @property
+    def last_tag(self):
+        return self.name if self.ran is None else f"{self.ran[0]}:{self.ran[1].last_tag}"
+
     def select(self, state, candidates, budget, seed):
         choice = self.choose(state)
         explore, exploit = self.constituents
         arm = explore if choice == EXPLORE else exploit
-        self.last_tag = f"{choice}:{arm.name}"
+        self.ran = choice, arm
         return arm.select(state, _ascending(candidates), budget, seed)
 
 
@@ -495,5 +508,5 @@ def build_strategy(spec: dict) -> Strategy:
     params = check_fields(node["params"], schema.params, f"{kind}.params")
     built = schema.factory(*(build_strategy(s) for s in subs), **params)
     if node["name"]:
-        built.name = built.last_tag = node["name"]
+        built.name = node["name"]
     return built

@@ -20,7 +20,6 @@ from acqbench.acquisition import (
     ProbabilityTensor,
     bald_scores,
     entropy_scores,
-    facility_location_value,
     least_confident_scores,
     margin_scores,
     mean_std_scores,
@@ -33,7 +32,6 @@ from acqbench.aggregation import (
     AnnealingSchedule,
     FeedbackState,
     annealing_phase,
-    exploit_lengths,
     feedback_update,
 )
 from acqbench.cli import main
@@ -41,6 +39,7 @@ from acqbench.datasets import make_blobs
 from acqbench.evaluation import compute_heatmap, t_score, winning_rate
 from acqbench.simulator import ExperimentConfig, run_experiment
 from acqbench.strategies import HybridStrategy, SeriesStrategy, Strategy
+from oracles import exploit_lengths, facility_location_value
 
 TOL = 1e-9
 

@@ -15,7 +15,6 @@ from acqbench.acquisition import (
     _check_features,
     bald_scores,
     entropy_scores,
-    facility_location_value,
     gradient_embeddings,
     least_confident_scores,
     margin_scores,
@@ -27,6 +26,8 @@ from acqbench.acquisition import (
     select_power,
     select_top_k,
 )
+from acqbench.rng import stream
+from oracles import facility_location_value
 
 
 def _tensor(rows, n_passes=1):
@@ -292,6 +293,38 @@ def _reference_facility_location(pool_features: np.ndarray, b: int) -> np.ndarra
     return chosen
 
 
+def _reference_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
+    """k-means++ seeding over embedding rows.
+
+    First pick uniform; each later pick is drawn from the unchosen rows
+    with probability proportional to squared Euclidean distance to the
+    nearest chosen row, falling back to uniform when every remaining
+    distance is zero.
+    """
+    emb = _check_features(embeddings, "embeddings")
+    _check_budget(b, len(emb))
+    if b == 0:
+        return np.empty(0, dtype=np.int64)
+    g = stream(seed)
+    n = len(emb)
+    chosen = [int(g.integers(n))]
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen[0]] = True
+    sq_d = ((emb - emb[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < b:
+        remaining = np.flatnonzero(~taken)
+        w = sq_d[remaining]
+        total = w.sum()
+        if total <= 0.0:
+            pick = int(g.choice(remaining))
+        else:
+            pick = int(g.choice(remaining, p=w / total))
+        chosen.append(pick)
+        taken[pick] = True
+        sq_d = np.minimum(sq_d, ((emb - emb[pick]) ** 2).sum(axis=1))
+    return np.asarray(chosen, dtype=np.int64)
+
+
 def _selector_fixtures():
     """Seeded (pool, labeled, b) cases for the oracle checks.
 
@@ -330,6 +363,53 @@ def _selector_fixtures():
         yield pool, labeled, n
 
 
+def _pruning_fixtures():
+    """Seeded (pool, labeled, b) cases where the distance selectors' cheap
+    bounds are weakest.
+
+    Rows offset by 1e4 to 1e8 from the origin with a spread of 1e-3, where
+    cancellation in |p|^2 + |c|^2 - 2 p.c lets every pair within a cluster
+    through the filter: one cluster, where the surviving pairs are computed
+    densely, or four, where about a quarter of them survive and are
+    gathered. Then rows one ulp apart, and squared distances one ulp apart
+    whose roots are equal; duplicated and all-zero rows; widths up to 512;
+    and labeled sets spanning several of k-centers' row blocks, up to one
+    larger than a whole block.
+    """
+    g = np.random.default_rng(21)
+    for offset, w, clusters in itertools.product((1e4, 1e6, 1e8), (1, 2, 5, 32, 512), (1, 4)):
+        n, n_lab = (60, 30) if w < 512 else (20, 10)
+        center = offset * g.uniform(0.5, 1.5, size=w) * g.choice([-1.0, 1.0], size=w)
+        shift = 0.01 * center * np.arange(clusters)[:, None]
+        pool = center + shift[np.arange(n) % clusters] + 1e-3 * g.normal(size=(n, w))
+        labeled = center + shift[np.arange(n_lab) % clusters] + 1e-3 * g.normal(size=(n_lab, w))
+        yield pool, labeled, min(n, 25)
+    for w in (1, 3, 16):
+        base = g.normal(size=(10, w))
+        pool = np.repeat(base, 4, axis=0)
+        nudged = g.integers(0, w, size=len(pool))
+        pool[np.arange(len(pool)), nudged] = np.nextafter(
+            pool[np.arange(len(pool)), nudged], g.choice([-np.inf, np.inf], size=len(pool))
+        )
+        yield pool, base[:3], len(pool)
+    # (s, 0) and (s, s * 2^-26) lie s^2 and s^2 (1 + 2^-52) from the origin,
+    # and both roots round to s
+    scales = 2.0 ** g.integers(-8, 9, size=12)
+    pool = np.stack([np.repeat(scales, 2), np.repeat(scales, 2) * np.tile([0.0, 2.0**-26], 12)], axis=1)
+    yield pool, np.zeros((1, 2)), 12
+    yield pool[::-1].copy(), np.zeros((1, 2)), 12
+    for w in (4, 64):
+        pool = np.abs(np.round(g.normal(size=(50, w)), 1))
+        pool = pool[g.integers(0, 20, size=50)]
+        pool[g.random(50) < 0.3] = 0.0
+        yield pool, np.vstack([np.zeros((2, w)), pool[:5]]), 30
+    for w, n, n_lab in ((64, 40, 600), (512, 6, 1100)):
+        labeled = np.round(g.normal(size=(n_lab, w)), 1)
+        pool = np.round(g.normal(size=(n, w)), 1)
+        pool[::5] = labeled[: len(pool[::5])]
+        yield pool, labeled, n
+
+
 def _brute_force_farthest_first(pool, labeled, b):
     """Reference greedy with explicit min-distance bookkeeping."""
     chosen = []
@@ -350,6 +430,21 @@ def _brute_force_farthest_first(pool, labeled, b):
                 best_i, best_d = i, d
         chosen.append(best_i)
     return np.array(chosen)
+
+
+class TestCloserSq:
+    def test_keeps_every_pair_that_can_beat_current(self):
+        # each center's nearest quarter of rows beats a current one ulp above
+        # its distance and must come back, with the full tensor's bits; the
+        # other rows cannot beat half their distance
+        for pool, labeled, _ in _pruning_fixtures():
+            exact = ((pool[:, None, :] - labeled[None, :, :]) ** 2).sum(axis=2)
+            for j in range(0, len(labeled), 3):
+                near = exact[:, j] <= np.quantile(exact[:, j], 0.25)
+                current = np.where(near, np.nextafter(exact[:, j], np.inf), exact[:, j] / 2)
+                i, sq = acquisition._closer_sq(pool, (pool**2).sum(axis=1), labeled[j : j + 1], current)
+                assert set(np.flatnonzero(near)) <= set(i.tolist())
+                np.testing.assert_array_equal(sq, exact[i, j])
 
 
 class TestKCenters:
@@ -385,6 +480,17 @@ class TestKCenters:
             np.testing.assert_array_equal(
                 select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
             )
+
+    def test_matches_reference_where_bounds_are_weakest(self):
+        for pool, labeled, b in _pruning_fixtures():
+            np.testing.assert_array_equal(
+                select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
+            )
+
+    def test_root_tie_goes_to_lowest_position(self):
+        # squared distances 1 and 1 + 2^-52 share the root 1.0
+        pool = np.array([[1.0, 0.0], [1.0, 2.0**-26]])
+        np.testing.assert_array_equal(select_k_centers(pool, np.zeros((1, 2)), 1), [0])
 
     def test_memory_bounded_by_blocks(self):
         # the full [pool, labeled, width] difference tensor here is 146 MiB
@@ -475,6 +581,13 @@ class TestKMeansPP:
         sigma = math.sqrt(n_draws * 0.25 * 0.75)
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
+    def test_matches_reference(self):
+        cases = itertools.chain(_selector_fixtures(), _pruning_fixtures())
+        for seed, (pool, labeled, b) in enumerate(cases):
+            for emb in (pool, labeled):
+                k = min(b, len(emb))
+                np.testing.assert_array_equal(select_kmeanspp(emb, k, seed), _reference_kmeanspp(emb, k, seed))
+
     def test_deterministic_given_seed(self):
         emb = np.random.default_rng(2).normal(size=(9, 4))
         np.testing.assert_array_equal(select_kmeanspp(emb, 4, 5), select_kmeanspp(emb, 4, 5))
@@ -491,6 +604,12 @@ class TestFacilityLocation:
 
     def test_matches_reference_greedy(self):
         for pool, _, b in _selector_fixtures():
+            np.testing.assert_array_equal(
+                select_facility_location(pool, b), _reference_facility_location(pool, b)
+            )
+
+    def test_matches_reference_where_bounds_are_weakest(self):
+        for pool, _, b in _pruning_fixtures():
             np.testing.assert_array_equal(
                 select_facility_location(pool, b), _reference_facility_location(pool, b)
             )

@@ -17,7 +17,6 @@ from acqbench.aggregation import (
     FeedbackState,
     annealing_phase,
     check_selection,
-    exploit_lengths,
     feedback_choice,
     feedback_update,
     parallel_ranked_select,
@@ -32,6 +31,7 @@ from acqbench.strategies import (
     SeriesStrategy,
     Strategy,
 )
+from oracles import exploit_lengths
 
 
 class FixedScores(Strategy):

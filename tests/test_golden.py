@@ -86,16 +86,19 @@ PINS = {
     "series": "3f5747052fcb29b6b77184a7cd72c878e55acdf9832be6eb78135f50e138bc40",
     "series_badge_parallel": "4f594ceab65d644c0b66fa4c7470f4d108281649399175c4cefdf5c0060da593",
     "series_bald_hybrid": "9c73588c0b1e6b0747433ecc70c8400c181b0e25215e4a882b83e2e550bf2944",
-    "series_k_centers_feedback": "a2ffc8c22c6a9ebce4d0d788f96011bffd72cc88e86bfa1647c0c8a887bd567b",
+    "series_k_centers_feedback": "24773576fed3a0608a075525a5424cc8dacfc4aa801c087dca3989d298fc8398",
 }
 
 
 # The same digest on a pool of a few hundred points with a 64-wide hidden
-# layer, so k-centers' initial distances span several row blocks and
-# facility location's lazy greedy re-evaluates stale gains over many steps.
+# layer, so k-centers' initial distances span several row blocks,
+# facility location's lazy greedy re-evaluates stale gains over many steps
+# and k-means++ (badge) prunes its distance updates over many picks.
 POOL_PINS = {
+    "badge": "1966d988d2677aba0467903c595516cd6b3a5bdc5c34e774a3b65c808b7219d2",
     "facility_location": "57f0e8d8af7f93bd59765f13f3d818415e52f31385a6c2e454eae0152c169900",
     "k_centers": "784f99e5e7811794ad34333a9b320a29586e70e438c440255889a932ab52901f",
+    "series": "db425c281930441132cb49e0990d69e91b14f8d8c82385a71eca655e693ca4e7",
 }
 
 

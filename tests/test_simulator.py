@@ -269,6 +269,17 @@ class TestArtifacts:
         assert [(r["acq_ms"], r["train_ms"]) for r in rows] == [(w.acq_ms, w.train_ms) for w in rec.rows]
         assert [r["strategy_tag"] for r in rows] == [w.strategy_tag for w in rec.rows]
 
+    def test_nested_alternator_choice_reaches_record_csv(self, tmp_path):
+        annealing = {"kind": "annealing", "params": {"t_initial": 1, "t_exploit": 1, "t_explore": 1, "rate": 1},
+                     "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        spec = {"kind": "series", "params": {"kappas": [2, 1]}, "constituents": [{"kind": "k_centers"}, annealing]}
+        rec = run_experiment(_config(spec))
+        rows = read_record_csv(write_record(rec, tmp_path / "r") / "record.csv")
+        name = rec.strategy
+        assert [r["strategy_tag"] for r in rows] == [
+            f"{name}[k_centers,explore:random]", f"{name}[k_centers,exploit:bald]", f"{name}[k_centers,explore:random]"
+        ]
+
     def test_summary_json(self, tmp_path):
         rec = run_experiment(_config({"kind": "margin"}, rounds=2))
         out = write_record(rec, tmp_path / "r")

@@ -167,6 +167,37 @@ class TestTags:
         s.select(state, _pool(state), 2, (0,))
         assert s.last_tag == "explore:random"  # beta starts at 0.5
 
+    def test_nested_alternator_choice_reaches_the_root_tag(self):
+        annealing = _spec("annealing", params={"t_initial": 1, "t_exploit": 1,
+                                               "t_explore": 1, "rate": 1.0},
+                          constituents=[_spec("random"), _spec("bald")])
+        s = build_strategy(_spec("series", params={"kappas": [2, 1]},
+                                 constituents=[_spec("k_centers"), annealing]))
+        assert s.last_tag == s.name
+        tags = []
+        for t in (1, 2):
+            state = _state()
+            state.round_index = t
+            s.select(state, _pool(state), 2, (0,))
+            tags.append(s.last_tag)
+        assert tags == [f"{s.name}[k_centers,explore:random]", f"{s.name}[k_centers,exploit:bald]"]
+
+    def test_alternator_tag_nests_its_arms_tag(self):
+        inner = _spec("feedback", constituents=[_spec("random"), _spec("bald")])
+        s = build_strategy(_spec("random_alternate", constituents=[_spec("entropy"), inner]))
+        state = _state()  # the coin for run seed 0, round 1 is exploit
+        s.select(state, _pool(state), 2, (0,))
+        assert s.last_tag == "exploit:explore:random"
+
+    def test_structure_without_alternator_tags_its_name(self):
+        for spec in COMPOSITE_SPECS.values():
+            if spec["kind"] in ("feedback", "annealing", "random_alternate"):
+                continue
+            s = build_strategy(spec)
+            state = _state()
+            s.select(state, _pool(state), 4, (0,))
+            assert s.last_tag == s.name
+
 
 class TestMetering:
     def test_mc_scorers_cost_passes_times_candidates(self):
