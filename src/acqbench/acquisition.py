@@ -309,25 +309,25 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     least (1 - 1/e) of the optimal batch value.
 
     Lazy greedy (Minoux 1978): a gain can only shrink as the batch grows,
-    so each candidate's last computed gain, first its row's pairwise sum
-    of max(sim, 0), bounds its current one. A step recomputes gains in
-    blocks of `_GAIN_BLOCK` candidates, highest bound first, until no bound
-    left, plus a rounding slack, reaches the best fresh gain. The picks
-    are those of recomputing every gain: a fresh gain is summed over the
-    pool rows in order, as `sum(axis=0)` of the n x n matrix does, by
-    `np.cumsum` (a pairwise sum can differ in the last bit and flip a near
-    tie; so can the axis-0 sum of a transposed one-row block, which numpy
-    sees as contiguous); ties go to the lowest position. The matrix is held
-    once: it is exactly symmetric, so a candidate's similarities are a row.
+    so each candidate's last computed gain, first its row's sum of
+    max(sim, 0), bounds its current one. A step recomputes gains in blocks
+    of `_GAIN_BLOCK` candidates, highest bound first, as pairwise sums of
+    contiguous rows, until no bound left plus `slack` reaches the best.
+    Bound, then verify: the picks are those of summing every gain over the
+    pool rows in order, as `sum(axis=0)` of the n x n matrix does, where a
+    pairwise sum can flip a near tie. Every computed gain is within
+    slack / 4 of its exact value, so only candidates within 2 `slack` of
+    the best (usually one) can win; `np.cumsum` re-sums those in order, and
+    ties go to the lowest position. The matrix is held once: it is exactly
+    symmetric, so a candidate's similarities are a row.
     """
     pool = _check_features(pool_features, "pool features")
     n = len(pool)
     _check_budget(b, n)
     cols = _cosine_similarity_matrix(pool)
     # A gain is a sum of n terms in [0, 1] minus a sum of n covers in
-    # [0, 1], so its computed value is within about n^2 eps of the exact
-    # one, and a fresh gain can exceed its stale or pairwise bound by about
-    # twice that.
+    # [0, 1], so its computed value, in order or pairwise, is within
+    # n^2 eps of the exact one; `slack` is four times that.
     slack = 4.0 * n * n * np.finfo(np.float64).eps
     bound = np.empty(n)
     for lo in range(0, n, _GAIN_BLOCK):
@@ -335,7 +335,6 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     cover = np.zeros(n)
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):
-        gains = np.full(n, -np.inf)
         total = cover.sum()
         best = -np.inf
         live = np.flatnonzero(bound > -np.inf)
@@ -345,10 +344,13 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
             rows = rows[bound[rows] + slack >= best]
             if len(rows) == 0:
                 break
-            fresh = np.cumsum(np.maximum(cols[rows], cover), axis=1)[:, -1] - total
-            gains[rows] = bound[rows] = fresh
-            best = max(best, fresh.max())
-        pick = int(np.argmax(gains))
+            blk = cols[rows]
+            np.maximum(blk, cover, out=blk)
+            bound[rows] = blk.sum(axis=1) - total
+            best = max(best, bound[rows].max())
+        near = live[bound[live] + slack >= best - slack]
+        exact = np.cumsum(np.maximum(cols[near], cover), axis=1)[:, -1] - total
+        pick = int(near[np.argmax(exact)])
         chosen[step] = pick
         bound[pick] = -np.inf
         cover = np.maximum(cover, cols[pick])

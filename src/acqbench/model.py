@@ -122,42 +122,59 @@ def init_model(input_dim: int, hidden: int, n_classes: int, dropout: float, seed
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, in place on `z`; returns it."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _dropout_mask(p: ModelParams, g: np.random.Generator, rows: int) -> np.ndarray:
+    """Inverted-dropout multipliers for `rows` first-hidden activations, drawn from `g`
+    in C order; a model without dropout draws nothing and gets ones."""
+    keep = 1.0 - p.dropout
+    return (g.random((rows, p.hidden)) < keep) / keep if p.dropout > 0.0 else np.ones((rows, 1))
 
 
 def _first_layer(w: tuple[np.ndarray, ...], X: np.ndarray):
-    z1 = X @ w[0] + w[1]
+    z1 = X @ w[0]
+    z1 += w[1]
     return z1, np.maximum(z1, 0.0)
 
 
 def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float, first=None):
     """One pass. `mask` multiplies the first hidden activation (inverted
-    dropout: Bernoulli(keep)/keep during stochastic passes, 1.0 otherwise);
+    dropout: `_dropout_mask` during stochastic passes, 1.0 otherwise);
     `first` is `_first_layer(w, X)`, when the caller already has it."""
     _, _, w2, b2, w3, b3 = w
     z1, a1 = first or _first_layer(w, X)
     a1d = a1 * mask
-    z2 = a1d @ w2 + b2
+    z2 = a1d @ w2
+    z2 += b2
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ w3 + b3
+    z3 = a2 @ w3
+    z3 += b3
     return z1, a1d, z2, a2, z3
 
 
-def _sgd_step(w: tuple[np.ndarray, ...], X: np.ndarray, y: np.ndarray, mask: np.ndarray | float, lr: float):
-    """One SGD step on the mean cross-entropy of (X, y): backprop through
-    `_forward`, then w - lr * grad for every array, in `_WEIGHTS` order."""
+def _backprop(w: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...], X: np.ndarray, onehot: np.ndarray, mask: np.ndarray):
+    """Mean cross-entropy gradients of (X, onehot), written into `grads`."""
     _, _, w2, _, w3, _ = w
-    n = X.shape[0]
     z1, a1d, z2, a2, z3 = _forward(w, X, mask)
     dz3 = _softmax(z3)
-    dz3[np.arange(n), y] -= 1.0
-    dz3 /= n
-    dz2 = (dz3 @ w3.T) * (z2 > 0)
-    dz1 = ((dz2 @ w2.T) * mask) * (z1 > 0)
-    grads = (X.T @ dz1, dz1.sum(axis=0), a1d.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0))
-    return tuple(a - lr * g for a, g in zip(w, grads))
+    dz3 -= onehot
+    dz3 /= len(X)
+    dz2 = dz3 @ w3.T
+    dz2 *= z2 > 0
+    dz1 = dz2 @ w2.T
+    dz1 *= mask
+    dz1 *= z1 > 0
+    np.matmul(X.T, dz1, out=grads[0])
+    dz1.sum(axis=0, out=grads[1])
+    np.matmul(a1d.T, dz2, out=grads[2])
+    dz2.sum(axis=0, out=grads[3])
+    np.matmul(a2.T, dz3, out=grads[4])
+    dz3.sum(axis=0, out=grads[5])
 
 
 def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -180,22 +197,25 @@ def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | No
 
 
 def train(p: ModelParams, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ModelParams:
-    """Minibatch SGD for cfg.epochs passes; epochs=0 returns `p` unchanged."""
+    """Minibatch SGD for cfg.epochs passes; epochs=0 returns `p` unchanged.
+    Weights and gradients are views of two flat buffers, `W` and `G`. Each
+    epoch gathers its shuffled rows and one-hot labels and draws its masks once."""
     X, y = _check_batch(p, X, y)
     if cfg.epochs == 0:
         return p
-    y = y.astype(np.int64, copy=False)
-    n = X.shape[0]
-    keep = 1.0 - p.dropout
+    n, onehot = len(X), np.eye(p.n_classes)[y.astype(np.int64, copy=False)]
     g = stream(cfg.seed)
-
-    w = p.weights
+    W, cuts = np.concatenate([a.ravel() for a in p.weights]), np.cumsum([a.size for a in p.weights])[:-1]
+    G = np.empty_like(W)
+    w, grads = (tuple(v.reshape(a.shape) for v, a in zip(np.split(buf, cuts), p.weights)) for buf in (W, G))
     for _ in range(cfg.epochs):
         order = g.permutation(n)
-        for start in range(0, n, cfg.minibatch):
-            idx = order[start : start + cfg.minibatch]
-            mask = (g.random((len(idx), p.hidden)) < keep) / keep if p.dropout > 0.0 else 1.0
-            w = _sgd_step(w, X[idx], y[idx], mask, cfg.lr)
+        Xe, He, Me = X[order], onehot[order], _dropout_mask(p, g, n)
+        for lo in range(0, n, cfg.minibatch):
+            s = slice(lo, lo + cfg.minibatch)
+            _backprop(w, grads, Xe[s], He[s], Me[s])
+            G *= cfg.lr
+            W -= G
     return ModelParams(p.dropout, *w)
 
 
@@ -203,12 +223,10 @@ def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor
     """Stacked stochastic softmax outputs, shape [n_passes, n, n_classes]."""
     X, _ = _check_batch(p, X)
     n = X.shape[0]
-    keep = 1.0 - p.dropout
     passes = np.empty((mc.n_passes, n, p.n_classes))
     first = _first_layer(p.weights, X)  # dropout acts after it, so every pass shares it
     for k in range(mc.n_passes):
-        mask = (stream(mc.seed, NS_MC, k).random((n, p.hidden)) < keep) / keep if p.dropout > 0.0 else 1.0
-        *_, z3 = _forward(p.weights, X, mask, first)
+        *_, z3 = _forward(p.weights, X, _dropout_mask(p, stream(mc.seed, NS_MC, k), n), first)
         passes[k] = _softmax(z3)
     return ProbabilityTensor(passes)
 

@@ -614,6 +614,42 @@ class TestFacilityLocation:
                 select_facility_location(pool, b), _reference_facility_location(pool, b)
             )
 
+    def test_matches_reference_at_near_ties(self):
+        # a regular polygon's rows hold the same similarities in rotated
+        # order, so the exact gains tie and rounding alone ranks them, with
+        # pairwise and in-order sums ranking them differently; appended
+        # copies of every third vertex add exact ties
+        flips = 0
+        for n in (13, 16, 24, 36):
+            angles = 2 * np.pi * np.arange(n) / n
+            polygon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            for pool in (polygon, np.vstack([polygon, polygon[::3]])):
+                floored = np.maximum(_cosine_similarity_matrix(pool), 0.0)
+                flips += np.argmax(floored.sum(axis=1)) != np.argmax(floored.sum(axis=0))
+                np.testing.assert_array_equal(
+                    select_facility_location(pool, len(pool)), _reference_facility_location(pool, len(pool))
+                )
+        assert flips > 0  # some first pick differs between the two sums
+
+    def test_sums_in_order_every_gain_within_twice_the_slack(self, monkeypatch):
+        # row 11 lies 2e-7 rad from row 10, the centre of a symmetric fan,
+        # so its gain trails the best by between one and two slacks: a
+        # pairwise sum off by up to a slack could still rank it first
+        angles = np.array([-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 2e-7])
+        pool = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        slack = 4.0 * len(pool) ** 2 * np.finfo(np.float64).eps
+        gains = np.maximum(_cosine_similarity_matrix(pool), 0.0).sum(axis=1)
+        assert np.argmax(gains) == 10 and slack < gains[10] - gains[11] < 2 * slack
+        summed, cumsum = [], np.cumsum
+
+        def counted_cumsum(a, **kwargs):
+            summed.append(len(a))
+            return cumsum(a, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted_cumsum)
+        np.testing.assert_array_equal(select_facility_location(pool, 1), [10])
+        assert summed == [2]
+
     def test_submodular_guarantee(self):
         g = np.random.default_rng(6)
         bound = 1 - 1 / math.e

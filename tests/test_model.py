@@ -1,5 +1,7 @@
 """Tests for the dense-relu-dropout-dense-relu-dense-softmax classifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,28 @@ class TestTrain:
         p = init_model(2, 8, 2, dropout=0.5, seed=0)
         train(p, X, y, TrainConfig(lr=0.1, epochs=3, minibatch=8, seed=1))
         assert calls == {"check": 1, "params": 2}  # init_model's, then train's
+
+    @pytest.mark.parametrize(
+        "dropout, n, digest",
+        [
+            (0.3, 5, "0a594029e4bdd3f770ae1688a6799afbd86c4dfb532efc98e13409556cf979a4"),
+            (0.0, 16, "9cf9676ff572ffafe1ced6e11524d4f6312bd1224f5cf9b9124b1a8b21462617"),
+            (0.3, 17, "d15ecf1f3dce0d6a065f49e270d8471cdfbf9b8184c33880d6312241a3b6bc08"),
+            (0.0, 17, "0d7c4c2fecbb0c42bfeea73bd9986edba68760a672e810eaa4365a875e89d27e"),
+        ],
+    )
+    def test_trained_weights_pinned(self, dropout, n, digest):
+        # sha256 of the weights after four epochs with minibatch 8: n below
+        # one minibatch, exactly two, and two plus a one-row remainder; with
+        # dropout 0 no mask may be drawn from the shuffle stream
+        g = np.random.default_rng(7)
+        X, y = g.normal(size=(n, 3)), g.integers(0, 3, size=n)
+        p = init_model(3, 6, 3, dropout=dropout, seed=2)
+        q = train(p, X, y, TrainConfig(lr=0.1, epochs=4, minibatch=8, seed=5))
+        h = hashlib.sha256()
+        for name in WEIGHTS:
+            h.update(getattr(q, name).tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
     def test_non_positive_lr_rejected(self, lr):

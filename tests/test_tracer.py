@@ -81,7 +81,11 @@ def test_tracer_computes_every_per_layer_metric(tmp_path):
             for row in read_record_csv(tmp_path / "out" / "series_k_centers_bald_k2x1" / str(seed) / "record.csv")]
     assert metrics["simulator.rounds"] == len(rows) == 4
     assert metrics["model.train.calls"] == 2 * (1 + 2)
-    assert metrics["model.train.steps"] > 0 and metrics["model.train.ms"] > 0
+    # round 0 fits each seed's M = 4 initial labels, round t its n_labeled;
+    # each fit takes epochs * ceil(n / minibatch) steps
+    fitted = [4, 4] + [row["n_labeled"] for row in rows]
+    assert metrics["model.train.steps"] == sum(3 * math.ceil(n / 8) for n in fitted) == 24
+    assert metrics["model.train.ms"] > 0
     assert metrics["strategies.n_infer_mc"] > 0 and metrics["strategies.n_infer_features"] > 0
     assert metrics["strategies.n_infer_mc"] + metrics["strategies.n_infer_features"] == sum(
         row["n_infer"] for row in rows
