@@ -357,27 +357,25 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     return chosen
 
 
-def select_disparity_min(candidate_features: np.ndarray, b: int, seed_index: int = 0) -> np.ndarray:
+def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
     """Greedily grow a batch maximizing the minimum pairwise cosine distance.
 
-    Starts from `seed_index` and repeatedly adds the candidate whose
+    Starts from position 0 and repeatedly adds the candidate whose
     distance (1 - cosine similarity) to the nearest already-selected
     candidate is largest. Unlike the other selectors this one is order
-    sensitive on purpose: position 0 of the candidate list is the default
-    seed, which lets an upstream stage hand over its top-ranked pick.
+    sensitive on purpose: position 0 of the candidate list is the seed,
+    which lets an upstream stage hand over its top-ranked pick.
     """
     feats = _check_features(candidate_features, "candidate features")
     _check_budget(b, len(feats))
     if b == 0:
         return np.empty(0, dtype=np.int64)
-    if not 0 <= seed_index < len(feats):
-        raise ValueError(f"seed_index {seed_index} out of range for {len(feats)} candidates")
     sims = _cosine_similarity_matrix(feats)
     dist = np.subtract(1.0, sims, out=sims)
     chosen = np.empty(b, dtype=np.int64)
-    chosen[0] = seed_index
-    min_d = dist[:, seed_index].copy()
-    min_d[seed_index] = -np.inf
+    chosen[0] = 0
+    min_d = dist[:, 0].copy()
+    min_d[0] = -np.inf
     for step in range(1, b):
         pick = int(np.argmax(min_d))
         chosen[step] = pick

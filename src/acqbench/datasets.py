@@ -28,6 +28,8 @@ class Dataset:
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.float64)
+        if np.any(np.mod(self.y, 1)):
+            raise ValueError("labels must be integers")
         y = np.array(self.y, dtype=np.int64)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError(f"X must be a nonempty [n, d] matrix, got shape {X.shape}")

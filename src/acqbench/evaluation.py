@@ -102,8 +102,11 @@ def _check_critical(critical: float) -> float:
 
 
 def winning_rate(a: AccuracyTable | np.ndarray, b: AccuracyTable | np.ndarray, critical: float = DEFAULT_CRITICAL) -> float:
-    """Fraction of rounds where `a` beats `b` at the critical t value."""
+    """Fraction of rounds where `a` beats `b` at the critical t value. Two
+    tables pair column by column, so their seeds must match."""
     critical = _check_critical(critical)
+    if isinstance(a, AccuracyTable) and isinstance(b, AccuracyTable) and a.seeds != b.seeds:
+        raise ValueError(f"table {b.name} seeds {b.seeds} != {a.seeds} (pairing broken)")
     da = a.data if isinstance(a, AccuracyTable) else np.asarray(a, dtype=np.float64)
     db = b.data if isinstance(b, AccuracyTable) else np.asarray(b, dtype=np.float64)
     if da.shape != db.shape or da.ndim != 2:
@@ -151,8 +154,6 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
     for t in tables[1:]:
         if t.data.shape != ref.data.shape:
             raise ValueError(f"table {t.name} shape {t.data.shape} != {ref.data.shape}")
-        if t.seeds != ref.seeds:
-            raise ValueError(f"table {t.name} seeds {t.seeds} != {ref.seeds} (pairing broken)")
     k = len(tables)
     m = np.zeros((k, k))
     for i in range(k):

@@ -179,7 +179,7 @@ def _backprop(w: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...], X: np.nd
 
 def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Validate a batch against the model; returns X as float64 and y as
-    an array (None when not given)."""
+    int64 (None when not given)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.input_dim:
         raise ValueError(f"inputs must be [n, {p.input_dim}], got shape {X.shape}")
@@ -191,8 +191,11 @@ def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | No
         y = np.asarray(y)
         if y.shape != (X.shape[0],):
             raise ValueError(f"labels must be [n], got shape {y.shape}")
+        if np.any(np.mod(y, 1)):
+            raise ValueError("labels must be integers")
         if y.min() < 0 or y.max() >= p.n_classes:
             raise ValueError(f"labels out of range [0, {p.n_classes})")
+        y = y.astype(np.int64, copy=False)
     return X, y
 
 
@@ -203,7 +206,7 @@ def train(p: ModelParams, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Mod
     X, y = _check_batch(p, X, y)
     if cfg.epochs == 0:
         return p
-    n, onehot = len(X), np.eye(p.n_classes)[y.astype(np.int64, copy=False)]
+    n, onehot = len(X), np.eye(p.n_classes)[y]
     g = stream(cfg.seed)
     W, cuts = np.concatenate([a.ravel() for a in p.weights]), np.cumsum([a.size for a in p.weights])[:-1]
     G = np.empty_like(W)

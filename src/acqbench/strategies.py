@@ -3,24 +3,22 @@ names them.
 
 A `Strategy` owns one round-level decision: given the current model (via
 `RoundState`) and a candidate index array, pick `budget` dataset indices.
-Leaves score or embed the candidates and call a selector from
-`acquisition`. Structures (series, parallel, parallel_ranked, hybrid,
-feedback, annealing, random_alternate) route candidates, budgets and child
-seed keys `(*seed, i)` to their constituents, and take their model-free
-decisions from `aggregation`. `KINDS` holds each kind's params, constituent
-count and factory; `build_strategy` turns a config dict (kind / params /
-constituents / name) into a strategy tree from it, so config files,
-ablations, and tests all share one vocabulary.
+Every leaf is a `LeafStrategy` running one row of the `LEAVES` table: an
+acquisition function that scores or embeds the candidates and calls a
+selector from `acquisition`. Structures (series, parallel, parallel_ranked,
+hybrid, feedback, annealing, random_alternate) route candidates, budgets
+and child seed keys `(*seed, i)` to their constituents, and take their
+model-free decisions from `aggregation`. `KINDS` holds each kind's params,
+constituent count and factory; `build_strategy` turns a config dict (kind /
+params / constituents / name) into a strategy tree from it.
 
-Candidate order: every strategy canonicalizes its candidates to ascending
-dataset index before selecting, so "lowest index" tie-breaks always mean
-dataset order. The one deliberate exception is disparity_min, which seeds
-at position 0 of the list as given; a series stage upstream therefore
-hands it their top-ranked pick as the seed.
+Candidate order: every strategy sorts its candidates to ascending dataset
+index, so "lowest index" tie-breaks mean dataset order. The disparity_min
+row alone keeps the order it is given and seeds at position 0, so a series
+stage upstream hands it their top-ranked pick.
 
 `RoundState` meters every forward pass a strategy asks for (Monte Carlo
-scoring vs feature extraction), which is what makes the per-round
-inference accounting exact.
+scoring vs feature extraction), so the per-round inference count is exact.
 """
 
 from __future__ import annotations
@@ -33,22 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import acquisition as acq
 from . import model as mdl
-from .acquisition import (
-    ProbabilityTensor,
-    bald_scores,
-    entropy_scores,
-    gradient_embeddings,
-    least_confident_scores,
-    margin_scores,
-    mean_std_scores,
-    select_disparity_min,
-    select_facility_location,
-    select_k_centers,
-    select_kmeanspp,
-    select_power,
-    select_top_k,
-)
 from .aggregation import (
     EXPLORE,
     AnnealingSchedule,
@@ -94,7 +78,7 @@ class RoundState:
         self.run_seed = run_seed
         self.meter = InferenceMeter()
 
-    def mc_probs(self, idx: np.ndarray) -> ProbabilityTensor:
+    def mc_probs(self, idx: np.ndarray) -> acq.ProbabilityTensor:
         """Monte Carlo softmax stack for the given dataset indices."""
         self.meter.mc += self.mc.n_passes * len(idx)
         return mdl.mc_predict(self.params, self.X[idx], self.mc)
@@ -168,97 +152,78 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-class RandomStrategy(Strategy):
-    def __init__(self):
-        super().__init__("random")
-
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        picks = stream(*seed).choice(len(cands), size=budget, replace=False)
-        return cands[np.sort(picks)]
-
-
 SCORERS = {
-    "entropy": entropy_scores,
-    "least_confident": least_confident_scores,
-    "margin": margin_scores,
-    "mean_std": mean_std_scores,
-    "bald": bald_scores,
+    "entropy": acq.entropy_scores,
+    "least_confident": acq.least_confident_scores,
+    "margin": acq.margin_scores,
+    "mean_std": acq.mean_std_scores,
+    "bald": acq.bald_scores,
 }
 
 
-class ScoredStrategy(Strategy):
-    """MC-dropout scorer + deterministic top-k."""
+@dataclass(frozen=True)
+class Leaf:
+    """One acquisition function. `acquire(state, cands, b, seed, **params)`
+    returns the positions in `cands` to pick; `cands` are ascending unless
+    `keep_order`. `name(**params)` checks the params and names the leaf
+    (default: the kind). A row reads its scorer and selector per call, from
+    `SCORERS` or `acq`, so rebinding those names reaches every call."""
 
-    def __init__(self, kind: str):
-        super().__init__(kind)
-        self.scorer = SCORERS[kind]
-
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        return cands[select_top_k(self.scorer(state.mc_probs(cands)), budget)]
-
-
-class PowerBaldStrategy(Strategy):
-    """BALD scores sampled without replacement with probability ~ score^power."""
-
-    def __init__(self, power: float):
-        if not power > 0.0:
-            raise ValueError(f"power_bald power must be > 0, got {power}")
-        super().__init__(f"power_bald_p{power:g}")
-        self.power = float(power)
-
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        scores = bald_scores(state.mc_probs(cands))
-        return cands[select_power(scores, budget, self.power, derive_seed(*seed))]
+    acquire: Callable[..., np.ndarray]
+    params: dict[str, object] = field(default_factory=dict)
+    keep_order: bool = False
+    name: Callable[..., str] | None = None
 
 
-class KCentersStrategy(Strategy):
-    """Farthest-first coverage in feature space, aware of the labeled set."""
-
-    def __init__(self):
-        super().__init__("k_centers")
-
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        pool_feats = state.features_of(cands)
-        return cands[select_k_centers(pool_feats, state.labeled_features(), budget)]
+def _top_k(kind: str) -> Leaf:
+    return Leaf(lambda state, cands, b, seed: acq.select_top_k(SCORERS[kind](state.mc_probs(cands)), b))
 
 
-class BadgeStrategy(Strategy):
-    """k-means++ seeding over last-layer loss-gradient embeddings."""
-
-    def __init__(self):
-        super().__init__("badge")
-
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        emb = gradient_embeddings(state.mc_probs(cands), state.features_of(cands))
-        return cands[select_kmeanspp(emb, budget, derive_seed(*seed))]
+def _power_bald_name(power: float) -> str:
+    if not power > 0.0:
+        raise ValueError(f"power_bald power must be > 0, got {power}")
+    return f"power_bald_p{power:g}"
 
 
-class FacilityLocationStrategy(Strategy):
-    """Greedy coverage maximization under cosine similarity."""
+LEAVES: dict[str, Leaf] = {
+    **{kind: _top_k(kind) for kind in SCORERS},
+    "random": Leaf(lambda state, cands, b, seed: np.sort(stream(*seed).choice(len(cands), size=b, replace=False))),
+    # BALD scores sampled without replacement with probability ~ score^power
+    "power_bald": Leaf(
+        lambda state, cands, b, seed, power: acq.select_power(
+            acq.bald_scores(state.mc_probs(cands)), b, power, derive_seed(*seed)),
+        {"power": 1.0}, name=_power_bald_name,
+    ),
+    # farthest-first coverage in feature space, aware of the labeled set
+    "k_centers": Leaf(
+        lambda state, cands, b, seed: acq.select_k_centers(state.features_of(cands), state.labeled_features(), b)
+    ),
+    # k-means++ seeding over last-layer loss-gradient embeddings
+    "badge": Leaf(
+        lambda state, cands, b, seed: acq.select_kmeanspp(
+            acq.gradient_embeddings(state.mc_probs(cands), state.features_of(cands)), b, derive_seed(*seed))
+    ),
+    # greedy coverage maximization under cosine similarity
+    "facility_location": Leaf(lambda state, cands, b, seed: acq.select_facility_location(state.features_of(cands), b)),
+    # max-min cosine distance, seeded at position 0 of the candidates as given
+    "disparity_min": Leaf(
+        lambda state, cands, b, seed: acq.select_disparity_min(state.features_of(cands), b), keep_order=True
+    ),
+}
 
-    def __init__(self):
-        super().__init__("facility_location")
 
-    def select(self, state, candidates, budget, seed):
-        cands = _ascending(candidates)
-        return cands[select_facility_location(state.features_of(cands), budget)]
+class LeafStrategy(Strategy):
+    """One row of `LEAVES` with its checked params."""
 
-
-class DisparityMinStrategy(Strategy):
-    """Max-min cosine-distance batch, seeded at the first candidate given."""
-
-    def __init__(self):
-        super().__init__("disparity_min")
+    def __init__(self, kind: str, **params):
+        name = LEAVES[kind].name
+        super().__init__(name(**params) if name else kind)
+        self.kind, self.params = kind, params
 
     def select(self, state, candidates, budget, seed):
-        cands = np.asarray(candidates, dtype=np.int64)
-        feats = state.features_of(cands)
-        return cands[select_disparity_min(feats, budget, seed_index=0)]
+        leaf = LEAVES[self.kind]
+        cands = np.asarray(candidates, dtype=np.int64) if leaf.keep_order else _ascending(candidates)
+        return cands[leaf.acquire(state, cands, budget, seed, **self.params)]
 
 
 class SeriesStrategy(Strategy):
@@ -319,15 +284,15 @@ class ParallelRankedStrategy(Strategy):
     """Rank-sum aggregation of two scorers over one shared MC pass."""
 
     def __init__(self, first: Strategy, second: Strategy):
-        if not (isinstance(first, ScoredStrategy) and isinstance(second, ScoredStrategy)):
+        if not all(isinstance(s, LeafStrategy) and s.kind in SCORERS for s in (first, second)):
             raise ValueError(f"parallel_ranked constituents must be scorer kinds {sorted(SCORERS)}")
         super().__init__(f"parallel_ranked_{first.name}_{second.name}", first, second)
 
     def select(self, state, candidates, budget, seed):
         cands = _ascending(candidates)
         t = state.mc_probs(cands)
-        first, second = self.constituents
-        return cands[parallel_ranked_select(first.scorer(t), second.scorer(t), budget)]
+        first, second = (SCORERS[s.kind](t) for s in self.constituents)
+        return cands[parallel_ranked_select(first, second, budget)]
 
 
 class HybridStrategy(Strategy):
@@ -456,13 +421,7 @@ class Kind:
 
 
 KINDS: dict[str, Kind] = {
-    **{kind: Kind(functools.partial(ScoredStrategy, kind)) for kind in SCORERS},
-    "random": Kind(RandomStrategy),
-    "k_centers": Kind(KCentersStrategy),
-    "badge": Kind(BadgeStrategy),
-    "facility_location": Kind(FacilityLocationStrategy),
-    "disparity_min": Kind(DisparityMinStrategy),
-    "power_bald": Kind(PowerBaldStrategy, {"power": 1.0}),
+    **{kind: Kind(functools.partial(LeafStrategy, kind), leaf.params) for kind, leaf in LEAVES.items()},
     "series": Kind(SeriesStrategy, {"kappas": list}, arity=None),
     "parallel": Kind(ParallelStrategy, arity=2),
     "parallel_ranked": Kind(ParallelRankedStrategy, arity=2),

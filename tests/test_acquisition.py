@@ -668,20 +668,16 @@ class TestFacilityLocation:
 class TestDisparityMin:
     def test_single_pick_is_seed(self):
         feats = np.random.default_rng(0).normal(size=(5, 2))
-        np.testing.assert_array_equal(select_disparity_min(feats, 1, seed_index=3), [3])
+        np.testing.assert_array_equal(select_disparity_min(feats[[3, 0, 1, 2, 4]], 1), [0])
 
     def test_angle_example(self):
         angles = np.deg2rad([0.0, 10.0, 90.0])
         feats = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        np.testing.assert_array_equal(select_disparity_min(feats, 2, seed_index=0), [0, 2])
+        np.testing.assert_array_equal(select_disparity_min(feats, 2), [0, 2])
 
     def test_identical_candidates_lowest_indices(self):
         feats = np.ones((4, 2))
-        np.testing.assert_array_equal(select_disparity_min(feats, 3, seed_index=0), [0, 1, 2])
-
-    def test_seed_index_validated(self):
-        with pytest.raises(ValueError):
-            select_disparity_min(np.ones((3, 2)), 2, seed_index=5)
+        np.testing.assert_array_equal(select_disparity_min(feats, 3), [0, 1, 2])
 
 
 class TestSimilarityMatrix:
@@ -724,7 +720,7 @@ class TestSelectorContracts:
             select_k_centers(feats, g.normal(size=(2, 5)), 4),
             select_kmeanspp(gradient_embeddings(t, feats), 4, 0),
             select_facility_location(np.abs(feats), 4),
-            select_disparity_min(feats, 4, seed_index=0),
+            select_disparity_min(feats, 4),
         ]
         for batch in batches:
             assert len(batch) == 4

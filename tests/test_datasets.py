@@ -24,6 +24,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 2]), 2)
 
+    def test_rejects_fractional_labels(self):
+        with pytest.raises(ValueError, match="integers"):
+            Dataset(np.zeros((3, 2)), [0.5, 1.9, 0.0], 2)
+
     def test_callers_arrays_stay_writeable_and_detached(self):
         X, y = np.zeros((3, 2)), np.array([0, 1, 0])
         ds = Dataset(X, y, 2)

@@ -102,6 +102,12 @@ class TestWinningRate:
         b = _table("b", np.full((3, 5), 0.5))
         assert winning_rate(a, b) == 1.0
 
+    def test_unpaired_seeds_rejected(self):
+        a = _table("a", np.full((3, 3), 0.7), seeds=(0, 1, 2))
+        b = _table("b", np.full((3, 3), 0.5), seeds=(5, 6, 7))
+        with pytest.raises(ValueError, match="pairing broken"):
+            winning_rate(a, b)
+
     def test_critical_value_gates_wins(self):
         base = np.full(5, 0.5)
         diffs = np.array([0.1, 0.2, 0.0, 0.1, 0.1])  # t ~ 3.1623

@@ -17,7 +17,7 @@ import pytest
 
 from acqbench.datasets import make_grid_toy, split
 from acqbench.simulator import ExperimentConfig, record_csv_text, run_experiment, write_record
-from acqbench.strategies import build_strategy
+from acqbench.strategies import KNOWN_KINDS, build_strategy
 
 
 def _leaf(kind, **params):
@@ -128,6 +128,11 @@ def test_golden_digest(case):
 @pytest.mark.parametrize("case", sorted(POOL_PINS))
 def test_golden_digest_large_pool(case):
     assert _digest(SPECS[case], large=True) == POOL_PINS[case]
+
+
+def test_every_kind_is_pinned():
+    # a new kind lands with a pinned case rooted at it
+    assert set(KNOWN_KINDS) - {spec["kind"] for spec in SPECS.values()} == set()
 
 
 @pytest.mark.parametrize("case", sorted(SPECS))

@@ -130,6 +130,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(p, np.zeros((3, 2)), np.array([0, 1, 2]), TrainConfig())
 
+    def test_fractional_labels_rejected(self):
+        p = init_model(2, 8, 2, dropout=0.5, seed=0)
+        with pytest.raises(ValueError, match="integers"):
+            train(p, np.zeros((3, 2)), np.array([0.5, 1.5, 0.2]), TrainConfig())
+
     def test_checks_inputs_and_builds_params_once(self, monkeypatch):
         # the SGD steps run on plain arrays: one input check and one
         # ModelParams per call, however many minibatches there are
@@ -281,3 +286,8 @@ class TestPredictHelpers:
         p = init_model(2, 8, 2, dropout=0.5, seed=0)
         X, y = _blobs(30)
         assert mean_cross_entropy(p, X, y) > 0
+
+    def test_mean_cross_entropy_rejects_fractional_labels(self):
+        p = init_model(2, 8, 2, dropout=0.5, seed=0)
+        with pytest.raises(ValueError, match="integers"):
+            mean_cross_entropy(p, np.zeros((3, 2)), np.array([0.5, 1.5, 0.2]))

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 SCRIPT = """
-import importlib.util, json, sys
+import collections, importlib.util, json, sys
 tracer_path, trace_dir, config = sys.argv[1:]
 spec = importlib.util.spec_from_file_location("bench_tracer", tracer_path)
 tracer = importlib.util.module_from_spec(spec)
@@ -34,8 +34,10 @@ recorder.install()
 from acqbench.cli import main
 code = main(["sweep", "--config", config, "--jobs", "2"])
 recorder.dump("main")
-metrics = tracer.layer_metrics(tracer.load_spans(trace_dir))
-print(json.dumps({"code": code, "metrics": metrics, "per_layer": sorted(tracer.PER_LAYER)}))
+spans = tracer.load_spans(trace_dir)
+metrics = tracer.layer_metrics(spans)
+calls = collections.Counter(span["name"] for span in spans)
+print(json.dumps({"code": code, "metrics": metrics, "per_layer": sorted(tracer.PER_LAYER), "calls": calls}))
 """
 
 
@@ -91,3 +93,14 @@ def test_tracer_computes_every_per_layer_metric(tmp_path):
         row["n_infer"] for row in rows
     )
     assert metrics["simulator.sweep.ms"] > 0
+
+    # Spans per name. A strategy that captured a scorer or selector at import
+    # would bypass the tracer's rebinding, and its time would vanish from the
+    # per-layer metrics without any error. Each of 2 seeds x 2 rounds runs the
+    # series node and its two stages (k_centers extracts features for the pool
+    # and the labeled set), then one BALD scoring pass and one top-k.
+    expected = {
+        "acquisition.bald_scores": 4, "acquisition.select_top_k": 4, "acquisition.select_k_centers": 4,
+        "model.mc_predict": 4, "model.features": 8, "strategies.select": 12,
+    }
+    assert {name: result["calls"].get(name, 0) for name in expected} == expected
