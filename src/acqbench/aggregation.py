@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acquisition import select_top_k
 from .rng import NS_ALTERNATE, stream
 
 EXPLORE = "explore"
@@ -29,28 +30,15 @@ EXPLOIT = "exploit"
 def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray:
     """Positions with the b smallest rank sums across two score vectors.
 
-    Each vector is ranked 1 = best by descending score; tied scores give
-    the better rank to the lower position. Output is ordered by ascending
-    rank sum, then position.
+    Each vector is ranked by `select_top_k`'s rule: descending score, ties
+    to the lower position. Output is ordered by ascending rank sum, then
+    position.
     """
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s1.shape != s2.shape or s1.ndim != 1:
-        raise ValueError(f"score vectors must be equal-length 1-D, got {s1.shape} and {s2.shape}")
-    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
-        raise ValueError("non-finite scores")
-    n = len(s1)
-    if not 0 <= b <= n:
-        raise ValueError(f"budget {b} out of range for {n} candidates")
-
-    def ranks(s):
-        order = np.lexsort((np.arange(n), -s))
-        r = np.empty(n, dtype=np.int64)
-        r[order] = np.arange(1, n + 1)
-        return r
-
-    sums = ranks(s1) + ranks(s2)
-    return np.lexsort((np.arange(n), sums))[:b].astype(np.int64)
+    if np.shape(s1) != np.shape(s2):
+        raise ValueError(f"score vectors must have equal shapes, got {np.shape(s1)} and {np.shape(s2)}")
+    # a position's 0-based rank is where select_top_k's full order puts it
+    r1, r2 = (np.argsort(select_top_k(s, np.size(s))) for s in (s1, s2))
+    return select_top_k(-(r1 + r2), b)
 
 
 # --- adaptive feedback alternation ------------------------------------------
@@ -75,8 +63,8 @@ class FeedbackState:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
             raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.n_window < 1:
             raise ValueError(f"n_window must be >= 1, got {self.n_window}")
         if not 0.0 < self.beta < 1.0:
@@ -128,8 +116,8 @@ class AnnealingSchedule:
     def __post_init__(self):
         if min(self.t_initial, self.t_exploit, self.t_explore) < 1:
             raise ValueError("phase lengths must be >= 1")
-        if self.rate < 1.0:
-            raise ValueError(f"rate must be >= 1, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 1.0):
+            raise ValueError(f"rate must be finite and >= 1, got {self.rate}")
 
 
 def _phases(sched: AnnealingSchedule):

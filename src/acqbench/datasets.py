@@ -19,12 +19,11 @@ from .rng import NS_SPLIT, stream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, integer labels in [0, n_classes), and a display name."""
+    """Feature matrix and integer labels in [0, n_classes)."""
 
     X: np.ndarray
     y: np.ndarray
     n_classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.float64)
@@ -77,7 +76,7 @@ def make_grid_toy(
             center = np.array([i - mid, j - mid])
             points.append(center + g.normal(0.0, spread, size=(n_per_cell, 2)))
             labels.append(np.full(n_per_cell, (i + j) % 2, dtype=np.int64))
-    return Dataset(np.vstack(points), np.concatenate(labels), 2, name="grid_toy")
+    return Dataset(np.vstack(points), np.concatenate(labels), 2)
 
 
 def make_blobs(
@@ -99,7 +98,7 @@ def make_blobs(
     g = stream(seed)
     points = [c + g.normal(0.0, spread, size=(n_per_class, centers.shape[1])) for c in centers]
     labels = np.repeat(np.arange(len(centers), dtype=np.int64), n_per_class)
-    return Dataset(np.vstack(points), labels, len(centers), name="blobs")
+    return Dataset(np.vstack(points), labels, len(centers))
 
 
 def load_csv(path: str, label_column: int | str) -> Dataset:
@@ -162,7 +161,7 @@ def load_csv(path: str, label_column: int | str) -> Dataset:
     uniques = sorted(set(raw_labels))
     remap = {v: i for i, v in enumerate(uniques)}
     y = np.asarray([remap[v] for v in raw_labels], dtype=np.int64)
-    return Dataset(np.asarray(feats, dtype=np.float64), y, len(uniques), name="csv")
+    return Dataset(np.asarray(feats, dtype=np.float64), y, len(uniques))
 
 
 def split(ds: Dataset, test_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -180,6 +179,6 @@ def split(ds: Dataset, test_fraction: float, seed: int = 0) -> tuple[Dataset, Da
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return (
-        Dataset(ds.X[train_idx], ds.y[train_idx], ds.n_classes, name=ds.name),
-        Dataset(ds.X[test_idx], ds.y[test_idx], ds.n_classes, name=ds.name),
+        Dataset(ds.X[train_idx], ds.y[train_idx], ds.n_classes),
+        Dataset(ds.X[test_idx], ds.y[test_idx], ds.n_classes),
     )

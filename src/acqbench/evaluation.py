@@ -37,7 +37,7 @@ class AccuracyTable:
         if d.shape[1] != len(self.seeds):
             raise ValueError(f"{d.shape[1]} columns but {len(self.seeds)} seeds")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"duplicate seeds {self.seeds}")
+            raise ValueError(f"{self.name}: duplicate seeds {list(self.seeds)}")
         if not np.all(np.isfinite(d)):
             raise ValueError("non-finite accuracies")
         object.__setattr__(self, "data", d)
@@ -53,13 +53,10 @@ def table_from_runs(name: str, runs) -> AccuracyTable:
     """One strategy's table from (seed, per-round accuracies) pairs, in
     seed order; every seed must appear once and have the same rounds."""
     runs = sorted(runs, key=lambda run: run[0])
-    seeds = [seed for seed, _ in runs]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"{name}: duplicate seeds {seeds}")
     lengths = {len(accs) for _, accs in runs}
     if len(lengths) != 1:
         raise ValueError(f"{name}: seeds disagree on round count {sorted(lengths)}")
-    return AccuracyTable(name, tuple(seeds), np.array([accs for _, accs in runs]).T)
+    return AccuracyTable(name, tuple(seed for seed, _ in runs), np.array([accs for _, accs in runs]).T)
 
 
 def accuracy_table(records: list[RunRecord]) -> AccuracyTable:
@@ -85,6 +82,8 @@ def t_score(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"paired samples must be equal-length 1-D, got {a.shape} and {b.shape}")
     if len(a) < 2:
         raise ValueError(f"need at least 2 pairs, got {len(a)}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite accuracies")
     d = a - b
     mu = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -130,6 +129,7 @@ class WinningRateMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match {k} names")
         if len(set(self.names)) != k:
             raise ValueError(f"duplicate strategy names {self.names}")
+        object.__setattr__(self, "critical", _check_critical(self.critical))
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
 
@@ -146,10 +146,6 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
     """Pairwise winning rates for congruent, seed-paired accuracy tables."""
     if not tables:
         raise ValueError("no tables")
-    critical = _check_critical(critical)
-    names = tuple(t.name for t in tables)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate strategy names {names}")
     ref = tables[0]
     for t in tables[1:]:
         if t.data.shape != ref.data.shape:
@@ -160,7 +156,7 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
         for j in range(k):
             if i != j:
                 m[i, j] = winning_rate(tables[i], tables[j], critical)
-    return WinningRateMatrix(names, m, critical)
+    return WinningRateMatrix(tuple(t.name for t in tables), m, critical)
 
 
 def heatmap_csv_text(hm: WinningRateMatrix) -> str:

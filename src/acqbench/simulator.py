@@ -214,9 +214,9 @@ def step(run: Run) -> RoundRow:
         strategy_tag=run.strategy.last_tag,
         acq_ms=acq_ms,
         train_ms=train_ms,
-        n_infer=state.meter.total,
-        n_infer_mc=state.meter.mc,
-        n_infer_features=state.meter.features,
+        n_infer=state.n_mc + state.n_features,
+        n_infer_mc=state.n_mc,
+        n_infer_features=state.n_features,
         selected=tuple(int(i) for i in batch),
     )
     run.rows.append(row)

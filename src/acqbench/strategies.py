@@ -17,8 +17,8 @@ index, so "lowest index" tie-breaks mean dataset order. The disparity_min
 row alone keeps the order it is given and seeds at position 0, so a series
 stage upstream hands it their top-ranked pick.
 
-`RoundState` meters every forward pass a strategy asks for (Monte Carlo
-scoring vs feature extraction), so the per-round inference count is exact.
+`RoundState` counts every forward pass a strategy asks for, Monte Carlo
+scoring in `n_mc` and feature extraction in `n_features`, exactly.
 """
 
 from __future__ import annotations
@@ -46,20 +46,9 @@ from .aggregation import (
 from .rng import derive_seed, stream
 
 
-@dataclass
-class InferenceMeter:
-    """Forward passes consumed during one acquisition round, by purpose."""
-
-    mc: int = 0
-    features: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.mc + self.features
-
-
 class RoundState:
-    """Read-only model access for one round, with metered inference."""
+    """Read-only model access for one round. `n_mc` and `n_features` count
+    the forward passes its strategy asked for, by purpose."""
 
     def __init__(
         self,
@@ -76,16 +65,16 @@ class RoundState:
         self.mc = mc
         self.round_index = round_index
         self.run_seed = run_seed
-        self.meter = InferenceMeter()
+        self.n_mc = self.n_features = 0
 
     def mc_probs(self, idx: np.ndarray) -> acq.ProbabilityTensor:
         """Monte Carlo softmax stack for the given dataset indices."""
-        self.meter.mc += self.mc.n_passes * len(idx)
+        self.n_mc += self.mc.n_passes * len(idx)
         return mdl.mc_predict(self.params, self.X[idx], self.mc)
 
     def features_of(self, idx: np.ndarray) -> np.ndarray:
         """Last-hidden-layer features for the given dataset indices."""
-        self.meter.features += len(idx)
+        self.n_features += len(idx)
         return mdl.features(self.params, self.X[idx])
 
     def labeled_features(self) -> np.ndarray:

@@ -24,3 +24,32 @@ def exploit_lengths(sched: AnnealingSchedule, n: int) -> list[int]:
     phases = (annealing_phase(sched, t) for t in itertools.count(1))
     runs = (len(list(run)) for phase, run in itertools.groupby(phases) if phase == EXPLOIT)
     return list(itertools.islice(runs, n))
+
+
+# Reference for `aggregation.parallel_ranked_select` that ranks with its own
+# lexsort instead of `select_top_k`.
+def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray:
+    """Positions with the b smallest rank sums across two score vectors.
+
+    Each vector is ranked 1 = best by descending score; tied scores give
+    the better rank to the lower position. Output is ordered by ascending
+    rank sum, then position.
+    """
+    s1 = np.asarray(s1, dtype=np.float64)
+    s2 = np.asarray(s2, dtype=np.float64)
+    if s1.shape != s2.shape or s1.ndim != 1:
+        raise ValueError(f"score vectors must be equal-length 1-D, got {s1.shape} and {s2.shape}")
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
+        raise ValueError("non-finite scores")
+    n = len(s1)
+    if not 0 <= b <= n:
+        raise ValueError(f"budget {b} out of range for {n} candidates")
+
+    def ranks(s):
+        order = np.lexsort((np.arange(n), -s))
+        r = np.empty(n, dtype=np.int64)
+        r[order] = np.arange(1, n + 1)
+        return r
+
+    sums = ranks(s1) + ranks(s2)
+    return np.lexsort((np.arange(n), sums))[:b].astype(np.int64)

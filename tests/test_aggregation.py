@@ -31,7 +31,7 @@ from acqbench.strategies import (
     SeriesStrategy,
     Strategy,
 )
-from oracles import exploit_lengths
+from oracles import exploit_lengths, parallel_ranked_select as reference_ranked_select
 
 
 class FixedScores(Strategy):
@@ -79,6 +79,28 @@ class TestParallelRanked:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             parallel_ranked_select(np.array([1.0, np.nan]), np.ones(2), 1)
+
+    def test_matches_reference_on_heavy_ties(self):
+        g = np.random.default_rng(11)
+        for n in (0, 1, 2, 3, 7, 50, 200):
+            for high in (1, 2, 4):
+                s1, s2 = g.integers(0, high + 1, size=(2, n)).astype(float)
+                for b in range(n + 1):
+                    got = parallel_ranked_select(s1, s2, b)
+                    want = reference_ranked_select(s1, s2, b)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s1, s2, b", [
+        (np.float64(1.0), np.float64(1.0), 0),
+        (np.ones((2, 2)), np.ones((2, 2)), 1),
+        (np.ones(3), np.ones(2), 1),
+        (np.ones(3), np.array([1.0, np.nan, 1.0]), 1),
+        (np.ones(3), np.ones(3), -1),
+        (np.ones(3), np.ones(3), 4),
+    ])
+    def test_rejected_inputs(self, s1, s2, b):
+        with pytest.raises(ValueError):
+            parallel_ranked_select(s1, s2, b)
 
 
 class TestParallel:
@@ -253,6 +275,11 @@ class TestFeedbackState:
         with pytest.raises(ValueError):
             FeedbackState(n_window=0)
 
+    def test_nan_lam_rejected(self):
+        # it used to fail at the first update, blaming beta
+        with pytest.raises(ValueError, match="lam"):
+            FeedbackState(lam=float("nan"))
+
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             FeedbackState(beta=1.0)
@@ -356,6 +383,15 @@ class TestAnnealing:
             AnnealingSchedule(5, 5, 5, 0.5)
         with pytest.raises(ValueError):
             annealing_phase(AnnealingSchedule(), 0)
+
+    def test_infinite_rate_rejected(self):
+        # it used to raise OverflowError at the second exploit phase
+        with pytest.raises(ValueError, match="rate"):
+            AnnealingSchedule(rate=float("inf"))
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate"):
+            AnnealingSchedule(rate=float("nan"))
 
 
 class TestRandomAlternate:

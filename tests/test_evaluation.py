@@ -80,6 +80,13 @@ class TestTScore:
         with pytest.raises(ValueError):
             t_score(np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            t_score([0.5, bad, 0.6], [0.4, 0.4, 0.4])
+        with pytest.raises(ValueError, match="non-finite"):
+            t_score([0.4, 0.4, 0.4], [0.5, bad, 0.6])
+
 
 class TestWinningRate:
     def test_total_dominance(self):
@@ -125,6 +132,13 @@ class TestWinningRate:
         t = np.full((2, 3), 0.5)
         with pytest.raises(ValueError, match="critical"):
             winning_rate(t, t.copy(), critical)
+
+    def test_non_finite_array_rejected(self):
+        # a NaN round used to count as lost, giving 0.0
+        a = np.full((2, 3), 0.7)
+        a[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            winning_rate(a, np.full((2, 3), 0.5))
 
     def test_zero_critical_accepted(self):
         t = np.full((2, 3), 0.5)

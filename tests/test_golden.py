@@ -102,7 +102,7 @@ POOL_PINS = {
 }
 
 
-def _digest(spec: dict, large: bool = False) -> str:
+def _record(spec: dict, large: bool = False):
     if large:
         grid, sizes = (6, 15), dict(hidden=64, initial_labeled=100, rounds=2, budget=20)
     else:
@@ -112,7 +112,11 @@ def _digest(spec: dict, large: bool = False) -> str:
         train_ds=train_ds, test_ds=test_ds, strategy_spec=spec, seed=3,
         dropout=0.3, lr=0.1, epochs=3, minibatch=16, n_passes=3, **sizes,
     )
-    record = run_experiment(cfg)
+    return run_experiment(cfg)
+
+
+def _digest(spec: dict, large: bool = False) -> str:
+    record = _record(spec, large)
     h = hashlib.sha256()
     h.update(record.strategy.encode("utf-8") + b"\n")
     h.update(record_csv_text(record).encode("utf-8"))
@@ -121,13 +125,19 @@ def _digest(spec: dict, large: bool = False) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(SPECS))
-def test_golden_digest(case):
-    assert _digest(SPECS[case]) == PINS[case]
+def test_golden_digest(case, pin_note):
+    assert _digest(SPECS[case]) == PINS[case], pin_note
 
 
 @pytest.mark.parametrize("case", sorted(POOL_PINS))
-def test_golden_digest_large_pool(case):
-    assert _digest(SPECS[case], large=True) == POOL_PINS[case]
+def test_golden_digest_large_pool(case, pin_note):
+    assert _digest(SPECS[case], large=True) == POOL_PINS[case], pin_note
+
+
+@pytest.mark.parametrize("case", sorted(SPECS))
+def test_inference_count_splits_by_purpose(case):
+    for row in _record(SPECS[case]).rows:
+        assert row.n_infer == row.n_infer_mc + row.n_infer_features
 
 
 def test_every_kind_is_pinned():
@@ -166,6 +176,6 @@ ARTIFACT_PINS = {
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
-def test_golden_artifact_with_timings(tmp_path, name):
+def test_golden_artifact_with_timings(tmp_path, name, pin_note):
     out = write_record(_series_record(), tmp_path, include_timings=True)
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_PINS[name]
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_PINS[name], pin_note

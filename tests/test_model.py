@@ -165,7 +165,7 @@ class TestTrain:
             (0.0, 17, "0d7c4c2fecbb0c42bfeea73bd9986edba68760a672e810eaa4365a875e89d27e"),
         ],
     )
-    def test_trained_weights_pinned(self, dropout, n, digest):
+    def test_trained_weights_pinned(self, dropout, n, digest, pin_note):
         # sha256 of the weights after four epochs with minibatch 8: n below
         # one minibatch, exactly two, and two plus a one-row remainder; with
         # dropout 0 no mask may be drawn from the shuffle stream
@@ -176,7 +176,7 @@ class TestTrain:
         h = hashlib.sha256()
         for name in WEIGHTS:
             h.update(getattr(q, name).tobytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digest, pin_note
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
     def test_non_positive_lr_rejected(self, lr):

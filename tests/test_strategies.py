@@ -204,39 +204,44 @@ class TestMetering:
         for kind in SCORER_KINDS:
             state = _state(n_passes=3)
             build_strategy(_spec(kind)).select(state, _pool(state, 10), 3, (0,))
-            assert state.meter.mc == 3 * 10
-            assert state.meter.features == 0
+            assert state.n_mc == 3 * 10
+            assert state.n_features == 0
 
     def test_k_centers_costs_pool_plus_labeled_features(self):
         state = _state(n_labeled=6)
         build_strategy(_spec("k_centers")).select(state, _pool(state, 10), 3, (0,))
-        assert state.meter.features == 10 + 6
-        assert state.meter.mc == 0
+        assert state.n_features == 10 + 6
+        assert state.n_mc == 0
 
     def test_badge_costs_mc_and_features(self):
         state = _state(n_passes=3)
         build_strategy(_spec("badge")).select(state, _pool(state, 10), 3, (0,))
-        assert state.meter.mc == 3 * 10
-        assert state.meter.features == 10
+        assert state.n_mc == 3 * 10
+        assert state.n_features == 10
 
     def test_parallel_ranked_shares_one_mc_pass(self):
         state = _state(n_passes=3)
         build_strategy(COMPOSITE_SPECS["parallel_ranked"]).select(
             state, _pool(state, 10), 3, (0,)
         )
-        assert state.meter.mc == 3 * 10  # both scorers read the same tensor
+        assert state.n_mc == 3 * 10  # both scorers read the same tensor
 
     def test_random_costs_nothing(self):
         state = _state()
         build_strategy(_spec("random")).select(state, _pool(state), 3, (0,))
-        assert state.meter.total == 0
+        assert state.n_mc + state.n_features == 0
 
     def test_series_adds_stage_costs(self):
         state = _state(n_labeled=6, n_passes=3)
         build_strategy(COMPOSITE_SPECS["series"]).select(state, _pool(state, 12), 3, (0,))
         # k_centers reads 12 pool + 6 labeled features, bald scores 2*3 survivors
-        assert state.meter.features == 12 + 6
-        assert state.meter.mc == 3 * 6
+        assert state.n_features == 12 + 6
+        assert state.n_mc == 3 * 6
+
+    def test_counters_are_not_constructor_params(self):
+        state = _state()
+        with pytest.raises(TypeError):
+            RoundState(state.params, state.X, state.labeled, state.mc, n_mc=5)
 
 
 class TestFeedbackWiring:
