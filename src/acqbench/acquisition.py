@@ -286,15 +286,19 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
+def _unit_rows(f: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit Euclidean norm; rows with zero norm stay zero."""
+    norms = np.sqrt((f**2).sum(axis=1))
+    return f / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
 def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity; rows with zero norm get similarity 0.
 
     `unit @ unit.T` goes to a symmetric rank-k update that computes one
     triangle and mirrors it, so the matrix is exactly symmetric.
     """
-    norms = np.sqrt((f**2).sum(axis=1))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = f / safe[:, None]
+    unit = _unit_rows(f)
     sims = unit @ unit.T
     return np.clip(sims, -1.0, 1.0, out=sims)
 
@@ -364,21 +368,21 @@ def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
     distance (1 - cosine similarity) to the nearest already-selected
     candidate is largest. Unlike the other selectors this one is order
     sensitive on purpose: position 0 of the candidate list is the seed,
-    which lets an upstream stage hand over its top-ranked pick.
+    which lets an upstream stage hand over its top-ranked pick: every
+    distance starts infinite, so the first pick is position 0 by the tie rule.
+
+    Only the picks' distance columns are read, each as one matrix-vector
+    product `1 - clip(unit @ unit[pick])`, so memory stays O(n * width).
+    Its rounding can differ from a symmetric product's in the last bit, so
+    only near ties can rank differently than from the full matrix.
     """
     feats = _check_features(candidate_features, "candidate features")
     _check_budget(b, len(feats))
-    if b == 0:
-        return np.empty(0, dtype=np.int64)
-    sims = _cosine_similarity_matrix(feats)
-    dist = np.subtract(1.0, sims, out=sims)
+    unit = _unit_rows(feats)
     chosen = np.empty(b, dtype=np.int64)
-    chosen[0] = 0
-    min_d = dist[:, 0].copy()
-    min_d[0] = -np.inf
-    for step in range(1, b):
-        pick = int(np.argmax(min_d))
-        chosen[step] = pick
-        min_d = np.minimum(min_d, dist[:, pick])
+    min_d = np.full(len(unit), np.inf)
+    for step in range(b):
+        pick = chosen[step] = np.argmax(min_d)
+        np.minimum(min_d, 1.0 - np.clip(unit @ unit[pick], -1.0, 1.0), out=min_d)
         min_d[pick] = -np.inf
     return chosen

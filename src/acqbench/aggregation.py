@@ -13,6 +13,7 @@ child seed keys and call into this module for each decision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,12 @@ def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray
 # --- adaptive feedback alternation ------------------------------------------
 
 
+def _check_length(value, name: str) -> None:
+    """A count of rounds or losses: an integer >= 1 (bools, floats and NaN fail)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeedbackState:
     """Explore/exploit balance driven by the loss of past selections.
@@ -65,8 +72,7 @@ class FeedbackState:
             raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        if self.n_window < 1:
-            raise ValueError(f"n_window must be >= 1, got {self.n_window}")
+        _check_length(self.n_window, "n_window")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
@@ -114,8 +120,8 @@ class AnnealingSchedule:
     rate: float = 1.5
 
     def __post_init__(self):
-        if min(self.t_initial, self.t_exploit, self.t_explore) < 1:
-            raise ValueError("phase lengths must be >= 1")
+        for name in ("t_initial", "t_exploit", "t_explore"):
+            _check_length(getattr(self, name), name)
         if not (math.isfinite(self.rate) and self.rate >= 1.0):
             raise ValueError(f"rate must be finite and >= 1, got {self.rate}")
 

@@ -129,46 +129,51 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _dropout_mask(p: ModelParams, g: np.random.Generator, rows: int) -> np.ndarray:
+def _dropout_mask(p: ModelParams, g: np.random.Generator, rows: int, out=None) -> np.ndarray:
     """Inverted-dropout multipliers for `rows` first-hidden activations, drawn from `g`
-    in C order; a model without dropout draws nothing and gets ones."""
+    in C order into `out` (new when None); a model without dropout draws nothing and gets ones."""
+    if p.dropout == 0.0:
+        return np.ones((rows, 1))
     keep = 1.0 - p.dropout
-    return (g.random((rows, p.hidden)) < keep) / keep if p.dropout > 0.0 else np.ones((rows, 1))
+    u = g.random((rows, p.hidden), out=out)
+    return np.divide(np.less(u, keep, out=u), keep, out=u)
 
 
-def _first_layer(w: tuple[np.ndarray, ...], X: np.ndarray):
-    z1 = X @ w[0]
-    z1 += w[1]
-    return z1, np.maximum(z1, 0.0)
+def _first_layer(w: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
+    a1 = X @ w[0]
+    a1 += w[1]
+    return np.maximum(a1, 0.0, out=a1)
 
 
-def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float, first=None):
-    """One pass. `mask` multiplies the first hidden activation (inverted
-    dropout: `_dropout_mask` during stochastic passes, 1.0 otherwise);
-    `first` is `_first_layer(w, X)`, when the caller already has it."""
+def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float, first=None, out=(None,) * 3):
+    """One pass; returns the activations (a1, a1d, a2) and logits z3.
+    `mask` multiplies the first hidden activation (inverted dropout:
+    `_dropout_mask` during stochastic passes, 1.0 otherwise); `first` is
+    `_first_layer(w, X)`, when the caller already has it. `out` holds
+    buffers for (a1d, a2, z3); a None entry is allocated."""
     _, _, w2, b2, w3, b3 = w
-    z1, a1 = first or _first_layer(w, X)
-    a1d = a1 * mask
-    z2 = a1d @ w2
-    z2 += b2
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ w3
+    a1 = _first_layer(w, X) if first is None else first
+    a1d = np.multiply(a1, mask, out=out[0])
+    a2 = np.matmul(a1d, w2, out=out[1])
+    a2 += b2
+    np.maximum(a2, 0.0, out=a2)
+    z3 = np.matmul(a2, w3, out=out[2])
     z3 += b3
-    return z1, a1d, z2, a2, z3
+    return a1, a1d, a2, z3
 
 
 def _backprop(w: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...], X: np.ndarray, onehot: np.ndarray, mask: np.ndarray):
     """Mean cross-entropy gradients of (X, onehot), written into `grads`."""
     _, _, w2, _, w3, _ = w
-    z1, a1d, z2, a2, z3 = _forward(w, X, mask)
+    a1, a1d, a2, z3 = _forward(w, X, mask)
     dz3 = _softmax(z3)
     dz3 -= onehot
     dz3 /= len(X)
     dz2 = dz3 @ w3.T
-    dz2 *= z2 > 0
+    dz2 *= a2 > 0
     dz1 = dz2 @ w2.T
     dz1 *= mask
-    dz1 *= z1 > 0
+    dz1 *= a1 > 0
     np.matmul(X.T, dz1, out=grads[0])
     dz1.sum(axis=0, out=grads[1])
     np.matmul(a1d.T, dz2, out=grads[2])
@@ -223,14 +228,18 @@ def train(p: ModelParams, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> Mod
 
 
 def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor:
-    """Stacked stochastic softmax outputs, shape [n_passes, n, n_classes]."""
+    """Stacked stochastic softmax outputs, shape [n_passes, n, n_classes].
+    Every pass shares the first layer (dropout acts after it) and two [n,
+    hidden] buffers, and writes its logits and softmax into its own slice."""
     X, _ = _check_batch(p, X)
     n = X.shape[0]
     passes = np.empty((mc.n_passes, n, p.n_classes))
-    first = _first_layer(p.weights, X)  # dropout acts after it, so every pass shares it
+    first = _first_layer(p.weights, X)
+    drop, hid = np.empty((n, p.hidden)), np.empty((n, p.hidden))
     for k in range(mc.n_passes):
-        *_, z3 = _forward(p.weights, X, _dropout_mask(p, stream(mc.seed, NS_MC, k), n), first)
-        passes[k] = _softmax(z3)
+        mask = _dropout_mask(p, stream(mc.seed, NS_MC, k), n, drop) if p.dropout else 1.0
+        _forward(p.weights, X, mask, first, (drop, hid, passes[k]))
+        _softmax(passes[k])
     return ProbabilityTensor(passes)
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from acqbench.acquisition import _check_features, _cosine_similarity_matrix
+from acqbench.acquisition import _check_budget, _check_features, _cosine_similarity_matrix
 from acqbench.aggregation import EXPLOIT, AnnealingSchedule, annealing_phase
 
 
@@ -17,6 +17,35 @@ def facility_location_value(pool_features: np.ndarray, batch: np.ndarray) -> flo
         return 0.0
     sims = _cosine_similarity_matrix(pool)
     return float(np.maximum(sims[:, batch].max(axis=1), 0.0).sum())
+
+
+# `acquisition.select_disparity_min` as it was when it read its columns off
+# the full n x n distance matrix.
+def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
+    """Greedily grow a batch maximizing the minimum pairwise cosine distance.
+
+    Starts from position 0 and repeatedly adds the candidate whose
+    distance (1 - cosine similarity) to the nearest already-selected
+    candidate is largest. Unlike the other selectors this one is order
+    sensitive on purpose: position 0 of the candidate list is the seed,
+    which lets an upstream stage hand over its top-ranked pick.
+    """
+    feats = _check_features(candidate_features, "candidate features")
+    _check_budget(b, len(feats))
+    if b == 0:
+        return np.empty(0, dtype=np.int64)
+    sims = _cosine_similarity_matrix(feats)
+    dist = np.subtract(1.0, sims, out=sims)
+    chosen = np.empty(b, dtype=np.int64)
+    chosen[0] = 0
+    min_d = dist[:, 0].copy()
+    min_d[0] = -np.inf
+    for step in range(1, b):
+        pick = int(np.argmax(min_d))
+        chosen[step] = pick
+        min_d = np.minimum(min_d, dist[:, pick])
+        min_d[pick] = -np.inf
+    return chosen
 
 
 def exploit_lengths(sched: AnnealingSchedule, n: int) -> list[int]:

@@ -28,6 +28,7 @@ from acqbench.acquisition import (
 )
 from acqbench.rng import stream
 from oracles import facility_location_value
+from oracles import select_disparity_min as reference_disparity_min
 
 
 def _tensor(rows, n_passes=1):
@@ -678,6 +679,54 @@ class TestDisparityMin:
     def test_identical_candidates_lowest_indices(self):
         feats = np.ones((4, 2))
         np.testing.assert_array_equal(select_disparity_min(feats, 3), [0, 1, 2])
+
+    def test_matches_full_matrix_reference_on_continuous_features(self):
+        g = np.random.default_rng(31)
+        for w in (1, 2, 3, 8, 32, 96):
+            for _ in range(6):
+                n = int(g.integers(2, 401))
+                feats = g.normal(size=(n, w))
+                for f in (feats, np.maximum(feats, 0.0)):
+                    b = int(g.integers(1, min(n, 60) + 1))
+                    np.testing.assert_array_equal(select_disparity_min(f, b), reference_disparity_min(f, b))
+
+    def test_differs_from_full_matrix_reference_only_at_near_ties(self, capsys):
+        # a column from a matrix-vector product and one from the symmetric
+        # product each hold every distance within (w + 2) eps of the exact
+        # one, so where the picks first part the reference's distances of the
+        # two picks lie within 2 (w + 2) eps of each other
+        cases = differing = 0
+        eps = np.finfo(np.float64).eps
+        for pool, labeled, b in itertools.chain(_selector_fixtures(), _pruning_fixtures()):
+            for feats in (pool, labeled):
+                k = min(b, len(feats))
+                got, want = select_disparity_min(feats, k), reference_disparity_min(feats, k)
+                cases += 1
+                if np.array_equal(got, want):
+                    continue
+                differing += 1
+                step = int(np.argmax(got != want))
+                min_d = (1.0 - _cosine_similarity_matrix(feats))[:, want[:step]].min(axis=1)
+                assert abs(min_d[got[step]] - min_d[want[step]]) <= 2 * (feats.shape[1] + 2) * eps
+        with capsys.disabled():
+            print(f"\ndisparity_min picks differ from the full-matrix reference on {differing} of {cases} fixtures")
+
+    def test_memory_linear_in_candidates(self):
+        # the n x n distance matrix alone would be 122 MiB here
+        n, w = 4000, 96
+        feats = np.maximum(np.random.default_rng(15).normal(size=(n, w)), 0.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            select_disparity_min(feats, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 4 * n * w * 8
 
 
 class TestSimilarityMatrix:

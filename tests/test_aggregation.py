@@ -275,6 +275,12 @@ class TestFeedbackState:
         with pytest.raises(ValueError):
             FeedbackState(n_window=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 5.0, True, 0])
+    def test_window_must_be_a_positive_integer(self, value):
+        # NaN used to pass and fail at the first update with a TypeError
+        with pytest.raises(ValueError, match="n_window"):
+            FeedbackState(n_window=value)
+
     def test_nan_lam_rejected(self):
         # it used to fail at the first update, blaming beta
         with pytest.raises(ValueError, match="lam"):
@@ -383,6 +389,14 @@ class TestAnnealing:
             AnnealingSchedule(5, 5, 5, 0.5)
         with pytest.raises(ValueError):
             annealing_phase(AnnealingSchedule(), 0)
+
+    @pytest.mark.parametrize("field", ["t_initial", "t_exploit", "t_explore"])
+    def test_phase_length_must_be_a_positive_integer(self, field):
+        # NaN used to end in OverflowError, and 2.5 ran a fractional schedule
+        for value in (float("nan"), 2.5, 5.0, True, 0):
+            with pytest.raises(ValueError, match=field):
+                AnnealingSchedule(**{field: value})
+        assert getattr(AnnealingSchedule(**{field: np.int64(3)}), field) == 3
 
     def test_infinite_rate_rejected(self):
         # it used to raise OverflowError at the second exploit phase

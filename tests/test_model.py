@@ -1,6 +1,7 @@
 """Tests for the dense-relu-dropout-dense-relu-dense-softmax classifier."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from acqbench.model import (
     predict_proba,
     train,
 )
+from acqbench.rng import stream
 
 
 WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -245,6 +247,53 @@ class TestMCPredict:
         p = init_model(2, 8, 3, dropout=0.5, seed=0)
         with pytest.raises(ValueError):
             mc_predict(p, np.zeros((4, 5)), MCConfig())
+
+    @pytest.mark.parametrize(
+        "dropout, n, digest",
+        [
+            (0.0, 1, "7b75ecb4bdce725cd40d31f19cfa58cfcb902c3e19131cfd84b8ce0e0d148d7f"),
+            (0.0, 17, "db5e80e4299bb6d6d90a6b0071230f72a768dd56e0102170adbddef54a80c799"),
+            (0.0, 2500, "daa9f83554d9607a297023af9ce75d38322239d49a6f4876237dc120f2a7930d"),
+            (0.15, 1, "45973c23952616e046b18e654d7a8021f54ec4c9cd144c04b8172cfc45f1f325"),
+            (0.15, 17, "7436234254b11cce7ebc37bce354f4f3aaed2c6c38875df4e1a9bce8b4cb2621"),
+            (0.15, 2500, "788b0044ae98816e9d06e325694315cd886d35191f160b60e0c250e68f24c4d1"),
+        ],
+    )
+    def test_passes_pinned(self, dropout, n, digest, pin_note):
+        # sha256 of five passes at the bench pool's width: one row, a few,
+        # and a whole pool
+        p = init_model(4, 96, 3, dropout=dropout, seed=11)
+        X = np.random.default_rng(8).normal(size=(n, 4))
+        t = mc_predict(p, X, MCConfig(n_passes=5, seed=13))
+        assert hashlib.sha256(t.data.tobytes()).hexdigest() == digest, pin_note
+
+    @pytest.mark.parametrize("dropout, streams", [(0.0, 0), (0.5, 4)])
+    def test_one_stream_per_pass_that_draws(self, dropout, streams, monkeypatch):
+        p = init_model(2, 8, 3, dropout=dropout, seed=0)
+        built = []
+        monkeypatch.setattr(model, "stream", lambda *key: built.append(key) or stream(*key))
+        mc_predict(p, np.zeros((3, 2)), MCConfig(n_passes=4, seed=1))
+        assert len(built) == streams
+
+    def test_passes_reuse_the_calls_buffers(self):
+        # three [n, hidden] arrays (the first layer and two pass buffers) plus
+        # the stack and its checked copy; a pass that allocated its own mask,
+        # activations and logits would hold several more [n, hidden] arrays
+        n, hidden, k = 2500, 96, 5
+        p = init_model(4, hidden, 3, dropout=0.15, seed=11)
+        X = np.random.default_rng(8).normal(size=(n, 4))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mc_predict(p, X, MCConfig(n_passes=k, seed=13))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < (3.5 * n * hidden + 3 * k * n * 3) * 8
 
 
 class TestFeatures:

@@ -5,9 +5,11 @@ counters read call arguments by name (`train`'s `cfg` and `X`,
 `mc_predict`'s `X` and `mc`, `features`' `X`, `sweep`'s `seeds` and
 `jobs`), and it wraps `simulator._run_with_seed` so that sweep workers
 write out their spans. This test installs the tracer in a fresh process,
-runs a tiny two-worker sweep, and checks that every per-layer metric
-computes and accounts for every run, round and forward pass. Renaming one
-of those names under `src/` fails here, not first in the benchmark.
+runs a tiny sweep, and checks that every per-layer metric computes and
+accounts for every run, round and forward pass. The sweep runs once in
+process (`--jobs 1`, the path the `pool` workload takes) and once over two
+workers. Renaming one of those names under `src/` fails here, not first in
+the benchmark.
 
 The tracer is loaded from its file with bytecode writing off, as
 `test_workloads.py` loads `workloads.py`, so nothing under bench/ changes.
@@ -20,19 +22,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 SCRIPT = """
 import collections, importlib.util, json, sys
-tracer_path, trace_dir, config = sys.argv[1:]
+tracer_path, trace_dir, config, jobs = sys.argv[1:]
 spec = importlib.util.spec_from_file_location("bench_tracer", tracer_path)
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 recorder = tracer.Tracer(trace_dir)
 recorder.install()
 from acqbench.cli import main
-code = main(["sweep", "--config", config, "--jobs", "2"])
+code = main(["sweep", "--config", config, "--jobs", jobs])
 recorder.dump("main")
 spans = tracer.load_spans(trace_dir)
 metrics = tracer.layer_metrics(spans)
@@ -45,7 +49,8 @@ def _bench_files():
     return {p: p.stat().st_mtime_ns for p in BENCH.rglob("*")}
 
 
-def test_tracer_computes_every_per_layer_metric(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tracer_computes_every_per_layer_metric(tmp_path, jobs):
     config = {
         "dataset": {"kind": "grid", "params": {"cells_per_side": 3, "n_per_cell": 12, "seed": 1}},
         "model": {"hidden": 8, "dropout": 0.2},
@@ -65,7 +70,7 @@ def test_tracer_computes_every_per_layer_metric(tmp_path):
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     before = _bench_files()
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path)],
+        [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path), str(jobs)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -93,6 +98,8 @@ def test_tracer_computes_every_per_layer_metric(tmp_path):
         row["n_infer"] for row in rows
     )
     assert metrics["simulator.sweep.ms"] > 0
+    # the bench's own cross-check: one run_experiment span per seed run
+    assert result["calls"]["simulator.run_experiment"] == 2
 
     # Spans per name. A strategy that captured a scorer or selector at import
     # would bypass the tracer's rebinding, and its time would vanish from the
