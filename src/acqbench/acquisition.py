@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import _integer, stream
 
 # Byte budget for one block of pool-minus-labeled differences in k-centers.
 _BLOCK_BYTES = 4 << 20
@@ -38,10 +38,11 @@ class ProbabilityTensor:
             raise ValueError(f"expected [n_passes, n, n_classes], got shape {d.shape}")
         if d.shape[0] < 1 or d.shape[1] < 1 or d.shape[2] < 1:
             raise ValueError(f"degenerate tensor shape {d.shape}")
-        if d.min() < -1e-12 or d.max() > 1.0 + 1e-12:
+        # written so that NaN, which fails every comparison, fails each check
+        if not (d.min() >= -1e-12 and d.max() <= 1.0 + 1e-12):
             raise ValueError("probabilities outside [0, 1]")
         sums = d.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-9:
             raise ValueError("probability rows must sum to 1 within 1e-9")
         object.__setattr__(self, "data", d)
         d.flags.writeable = False
@@ -118,9 +119,7 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def _check_budget(b: int, n: int) -> None:
-    if b < 0:
-        raise ValueError(f"budget must be >= 0, got {b}")
-    if b > n:
+    if _integer(b, "budget", 0) > n:
         raise ValueError(f"budget {b} exceeds {n} candidates")
 
 
@@ -313,10 +312,11 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     least (1 - 1/e) of the optimal batch value.
 
     Lazy greedy (Minoux 1978): a gain can only shrink as the batch grows,
-    so each candidate's last computed gain, first its row's sum of
-    max(sim, 0), bounds its current one. A step recomputes gains in blocks
-    of `_GAIN_BLOCK` candidates, highest bound first, as pairwise sums of
-    contiguous rows, until no bound left plus `slack` reaches the best.
+    so each candidate's last computed gain bounds its current one. A step
+    recomputes gains in blocks of `_GAIN_BLOCK` candidates, highest bound
+    first, as pairwise sums of contiguous rows, until no bound left plus
+    `slack` reaches the best. Every bound starts at +inf, so the first step
+    computes every row's sum of max(sim, 0).
     Bound, then verify: the picks are those of summing every gain over the
     pool rows in order, as `sum(axis=0)` of the n x n matrix does, where a
     pairwise sum can flip a near tie. Every computed gain is within
@@ -333,9 +333,7 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     # [0, 1], so its computed value, in order or pairwise, is within
     # n^2 eps of the exact one; `slack` is four times that.
     slack = 4.0 * n * n * np.finfo(np.float64).eps
-    bound = np.empty(n)
-    for lo in range(0, n, _GAIN_BLOCK):
-        np.maximum(cols[lo : lo + _GAIN_BLOCK], 0.0).sum(axis=1, out=bound[lo : lo + _GAIN_BLOCK])
+    bound = np.full(n, np.inf)
     cover = np.zeros(n)
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):

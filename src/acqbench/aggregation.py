@@ -13,13 +13,12 @@ child seed keys and call into this module for each decision.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import select_top_k
-from .rng import NS_ALTERNATE, stream
+from .rng import NS_ALTERNATE, _integer, stream
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -45,12 +44,6 @@ def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray
 # --- adaptive feedback alternation ------------------------------------------
 
 
-def _check_length(value, name: str) -> None:
-    """A count of rounds or losses: an integer >= 1 (bools, floats and NaN fail)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FeedbackState:
     """Explore/exploit balance driven by the loss of past selections.
@@ -72,7 +65,7 @@ class FeedbackState:
             raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        _check_length(self.n_window, "n_window")
+        _integer(self.n_window, "n_window", 1)
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
@@ -121,7 +114,7 @@ class AnnealingSchedule:
 
     def __post_init__(self):
         for name in ("t_initial", "t_exploit", "t_explore"):
-            _check_length(getattr(self, name), name)
+            _integer(getattr(self, name), name, 1)
         if not (math.isfinite(self.rate) and self.rate >= 1.0):
             raise ValueError(f"rate must be finite and >= 1, got {self.rate}")
 
@@ -139,8 +132,7 @@ def _phases(sched: AnnealingSchedule):
 
 def annealing_phase(sched: AnnealingSchedule, t: int) -> str:
     """Phase of 1-based round t under the schedule."""
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
+    t = _integer(t, "round index", 1)
     for phase, length in _phases(sched):
         if t <= length:
             return phase
@@ -152,8 +144,7 @@ def annealing_phase(sched: AnnealingSchedule, t: int) -> str:
 
 def random_alternate(seed: int, t: int) -> str:
     """Independent fair coin per round, reproducible from (seed, t) alone."""
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
+    t = _integer(t, "round index", 1)
     return EXPLORE if int(stream(seed, NS_ALTERNATE, t).integers(2)) == 0 else EXPLOIT
 
 

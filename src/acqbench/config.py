@@ -62,8 +62,6 @@ def _validate(raw: dict) -> dict:
     if kind not in DATASETS:
         raise ValueError(f"'dataset.kind' must be one of {sorted(DATASETS)}, got {kind!r}")
     params = check_fields(dataset["params"], DATASETS[kind], "dataset.params")
-    if kind == "csv" and type(params["label_column"]) not in (str, int):
-        raise ValueError("'dataset.params.label_column' must be a column name or index")
     if not cfg["output_dir"]:
         raise ValueError("'output_dir' must be a nonempty string")
     out = {

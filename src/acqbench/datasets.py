@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NS_SPLIT, stream
+from .rng import NS_SPLIT, _integer, stream
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class Dataset:
             raise ValueError(f"y must be [{len(X)}], got shape {y.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite feature values")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        _integer(self.n_classes, "n_classes", 2)
         if len(y) and (y.min() < 0 or y.max() >= self.n_classes):
             raise ValueError(f"labels outside [0, {self.n_classes})")
         object.__setattr__(self, "X", X)
@@ -62,10 +61,8 @@ def make_grid_toy(
     per-axis standard deviation within a cell; the default keeps neighbor
     cells visually separated.
     """
-    if cells_per_side < 2:
-        raise ValueError(f"cells_per_side must be >= 2, got {cells_per_side}")
-    if n_per_cell < 1:
-        raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
+    _integer(cells_per_side, "cells_per_side", 2)
+    _integer(n_per_cell, "n_per_cell", 1)
     if spread < 0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     g = stream(seed)
@@ -91,8 +88,7 @@ def make_blobs(
         raise ValueError(f"centers must be [C >= 2, d], got shape {centers.shape}")
     if len(np.unique(centers, axis=0)) != len(centers):
         raise ValueError("duplicate blob centers")
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    _integer(n_per_class, "n_per_class", 1)
     if spread < 0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     g = stream(seed)
@@ -137,7 +133,7 @@ def load_csv(path: str, label_column: int | str) -> Dataset:
             raise ValueError(f"{path}: unknown label column {label_column!r}, have {header}")
         label_idx = header.index(label_column)
     else:
-        label_idx = int(label_column)
+        label_idx = _integer(label_column, "label_column")
         if not -width <= label_idx < width:
             raise ValueError(f"{path}: label column index {label_idx} out of range for width {width}")
         label_idx %= width

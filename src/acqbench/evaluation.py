@@ -17,6 +17,7 @@ from html import escape
 import numpy as np
 
 from .fileio import csv_text
+from .rng import _integer
 from .simulator import RunRecord
 
 DEFAULT_CRITICAL = 2.776
@@ -34,14 +35,15 @@ class AccuracyTable:
         d = np.array(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"data must be [rounds, seeds], got shape {d.shape}")
-        if d.shape[1] != len(self.seeds):
-            raise ValueError(f"{d.shape[1]} columns but {len(self.seeds)} seeds")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"{self.name}: duplicate seeds {list(self.seeds)}")
+        seeds = tuple(_integer(s, f"{self.name}: seeds entries") for s in self.seeds)
+        if d.shape[1] != len(seeds):
+            raise ValueError(f"{d.shape[1]} columns but {len(seeds)} seeds")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError(f"{self.name}: duplicate seeds {list(seeds)}")
         if not np.all(np.isfinite(d)):
             raise ValueError("non-finite accuracies")
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
         d.flags.writeable = False
 
     @property

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import ProbabilityTensor
-from .rng import NS_MC, stream
+from .rng import NS_MC, _integer, stream
 
 _WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -75,10 +75,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.minibatch < 1:
-            raise ValueError(f"minibatch must be >= 1, got {self.minibatch}")
+        _integer(self.epochs, "epochs", 0)
+        _integer(self.minibatch, "minibatch", 1)
 
 
 @dataclass(frozen=True)
@@ -94,16 +92,14 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_passes < 1:
-            raise ValueError(f"n_passes must be >= 1, got {self.n_passes}")
+        _integer(self.n_passes, "n_passes", 1)
 
 
 def init_model(input_dim: int, hidden: int, n_classes: int, dropout: float, seed: int) -> ModelParams:
     """Scaled-uniform (Glorot) initialization, zero biases, seeded draw."""
-    if input_dim < 1 or hidden < 1 or n_classes < 2:
-        raise ValueError(
-            f"invalid architecture: input_dim={input_dim}, hidden={hidden}, n_classes={n_classes}"
-        )
+    _integer(input_dim, "input_dim", 1)
+    _integer(hidden, "hidden", 1)
+    _integer(n_classes, "n_classes", 2)
     g = stream(seed)
 
     def glorot(fan_in, fan_out):

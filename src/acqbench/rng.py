@@ -24,6 +24,25 @@ NS_DATASET = 9
 _MASK64 = (1 << 64) - 1
 
 
+def _integer(value, where: str, low: int | None = None) -> int:
+    """The one integer rule, for counts, budgets, seeds and stream keys: Python
+    and numpy integers pass (as an int) unless below `low`; bools, floats (2.0
+    too), NaN, inf and strings fail. Private: a traced run adds no span per check."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{where} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _json_integer(value, where: str) -> int:
+    """`_integer` at the config boundary, where JSON may write an integer
+    as an integral float such as 2.0: that becomes an int first."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(value, where)
+
+
 def stream(*key: int) -> np.random.Generator:
     """Return an independent generator for an integer key tuple.
 
@@ -35,7 +54,7 @@ def stream(*key: int) -> np.random.Generator:
     """
     if not key:
         raise ValueError("stream key must not be empty")
-    entropy = [int(k) & _MASK64 for k in key]
+    entropy = [_integer(k, "stream key") & _MASK64 for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

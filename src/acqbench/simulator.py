@@ -38,10 +38,12 @@ from .rng import (
     NS_MODEL_INIT,
     NS_POOL_DRAW,
     NS_TRAIN,
+    _integer,
+    _json_integer,
     derive_seed,
     stream,
 )
-from .strategies import RoundState, Strategy, _integer, build_strategy
+from .strategies import RoundState, Strategy, build_strategy
 
 
 def _timing(cell: str) -> float | None:
@@ -86,13 +88,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.train_ds.n_classes != self.test_ds.n_classes:
             raise ValueError("train and test class counts differ")
-        if self.initial_labeled < 1:
-            raise ValueError(f"initial_labeled must be >= 1, got {self.initial_labeled}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.pool_size < self.budget:
+        for name in ("initial_labeled", "rounds", "budget"):
+            _integer(getattr(self, name), name, 1)
+        _integer(self.seed, "seed")
+        if _integer(self.pool_size, "pool_size") < self.budget:
             raise ValueError(f"pool_size {self.pool_size} smaller than budget {self.budget}")
         needed = self.initial_labeled + self.rounds * self.budget
         if needed > len(self.train_ds):
@@ -238,9 +237,9 @@ def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:
 
 
 def check_seeds(seeds) -> list[int]:
-    """A run seed list from any iterable of Python or numpy integers:
-    nonempty, no bools, no duplicates."""
-    seeds = [_integer(int(s) if isinstance(s, np.integer) else s, "'seeds' entries") for s in seeds]
+    """A run seed list from any iterable of Python or numpy integers, or
+    JSON's integral floats: nonempty, no bools, no duplicates."""
+    seeds = [_json_integer(s, "'seeds' entries") for s in seeds]
     if not seeds:
         raise ValueError("'seeds' must name at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -256,8 +255,7 @@ def sweep(cfg: ExperimentConfig, seeds, jobs: int = 1) -> list[RunRecord]:
     sequential sweeps produce identical records.
     """
     seeds = check_seeds(seeds)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _integer(jobs, "jobs", 1)
     tasks = [(cfg, s) for s in seeds]
     if jobs == 1 or len(seeds) == 1:
         return [_run_with_seed(t) for t in tasks]

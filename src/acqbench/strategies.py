@@ -43,7 +43,7 @@ from .aggregation import (
     parallel_ranked_select,
     random_alternate,
 )
-from .rng import derive_seed, stream
+from .rng import _integer, _json_integer, derive_seed, stream
 
 
 class RoundState:
@@ -124,15 +124,6 @@ class Strategy:
 
 def _ascending(candidates: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(candidates, dtype=np.int64))
-
-
-def _integer(value, where: str) -> int:
-    """An int, or a float with an integral value; bools are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return value
 
 
 def _number(value, where: str) -> float:
@@ -232,8 +223,7 @@ class SeriesStrategy(Strategy):
         super().__init__("series_" + "_".join(s.name for s in stages) + f"_k{shrink}", *stages)
 
     def budgets(self, budget):
-        if budget < 1:
-            raise ValueError(f"series budget must be >= 1, got {budget}")
+        budget = _integer(budget, "series budget", 1)
         return [int(round(k * budget)) for k in self.kappas]
 
     def select(self, state, candidates, budget, seed):
@@ -291,7 +281,7 @@ class HybridStrategy(Strategy):
     def __init__(self, first: Strategy, second: Strategy, budgets):
         if len(budgets) != 2:
             raise ValueError("hybrid strategy requires params.budgets = [b_first, b_second]")
-        b1, b2 = (_integer(v, "hybrid budgets") for v in budgets)
+        b1, b2 = (_json_integer(v, "hybrid budgets") for v in budgets)
         if min(b1, b2) < 0 or b1 + b2 < 1:
             raise ValueError(f"hybrid budgets must be >= 0 with a total >= 1, got ({b1}, {b2})")
         super().__init__(f"hybrid_{first.name}{b1}_{second.name}{b2}", first, second)
@@ -389,7 +379,7 @@ def check_fields(raw, schema: dict, where: str) -> dict:
         if key not in raw and (default is None or isinstance(default, type)):
             raise ValueError(f"missing key {key!r} in '{where}'")
         if kind is int:
-            value = _integer(value, label)
+            value = _json_integer(value, label)
         elif kind is float:
             value = _number(value, label)
         elif kind in _JSON_TYPES and not isinstance(value, kind):

@@ -4,11 +4,13 @@ The golden digests and trained-weight pins are bytes of float results, and
 OpenBLAS picks its kernel per CPU at load time, so a pin can differ on
 another kernel with no change to the code. The header names the kernel this
 run loaded, and a failing pin says which kernel the pins were computed under.
+The header also gives the `src/` line count that ROADMAP tracks.
 """
 
 import ctypes
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +31,14 @@ def openblas_core() -> str:
     return "unknown"
 
 
+def src_lines() -> int:
+    """Lines of the package's .py files under src/, counted as `wc -l` does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return sum(p.read_bytes().count(b"\n") for p in src.rglob("*.py"))
+
+
 def pytest_report_header(config):
-    return f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
+    return f"numpy {np.__version__}, OpenBLAS core {openblas_core()}, src/ {src_lines()} lines"
 
 
 @pytest.fixture(scope="session")

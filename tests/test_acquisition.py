@@ -64,6 +64,20 @@ class TestProbabilityTensor:
         assert not t.data.flags.writeable
 
 
+class TestProbabilityTensorNaN:
+    # NaN fails every comparison, so it used to pass the range and row-sum
+    # checks: bald_scores then returned zeros for an all-NaN stack
+    def test_all_nan_stack_rejected(self):
+        with pytest.raises(ValueError, match="probabilities"):
+            ProbabilityTensor(np.full((2, 3, 4), np.nan))
+
+    def test_one_nan_cell_rejected(self):
+        data = np.full((2, 3, 2), 0.5)
+        data[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="probabilities"):
+            ProbabilityTensor(data)
+
+
 class TestEntropy:
     def test_uniform_four_classes(self):
         t = _tensor([[0.25, 0.25, 0.25, 0.25]])

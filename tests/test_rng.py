@@ -1,10 +1,21 @@
-"""Tests for keyed random streams and atomic artifact writes."""
+"""Tests for keyed random streams, the package's integer rule and atomic
+artifact writes."""
+
+import re
 
 import numpy as np
 import pytest
 
+from acqbench.acquisition import select_top_k
+from acqbench.aggregation import AnnealingSchedule, FeedbackState, annealing_phase, random_alternate
+from acqbench.config import validate_config
+from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy
+from acqbench.evaluation import AccuracyTable
 from acqbench.fileio import atomic_write_text
+from acqbench.model import MCConfig, TrainConfig, init_model
 from acqbench.rng import derive_seed, stream
+from acqbench.simulator import ExperimentConfig, check_seeds, sweep
+from acqbench.strategies import build_strategy, check_fields
 
 
 class TestStream:
@@ -31,6 +42,11 @@ class TestStream:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             stream()
+
+
+class TestStreamKeys:
+    def test_numpy_key_same_as_int(self):
+        np.testing.assert_array_equal(stream(np.int64(3), 1).random(4), stream(3, 1).random(4))
 
 
 class TestDeriveSeed:
@@ -65,3 +81,121 @@ class TestAtomicWrite:
     def test_no_temp_files_left(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "data")
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+# --- the integer rule at every site that takes a count, budget, seed or key ---
+
+_TINY = make_blobs(12, [[0.0, 0.0], [3.0, 0.0]], 0.3, seed=1)
+
+
+def _experiment(**kw):
+    params = dict(strategy_spec={"kind": "random"}, seed=0, hidden=4, epochs=1, n_passes=1,
+                  initial_labeled=4, rounds=1, budget=2, pool_size=10) | kw
+    return ExperimentConfig(_TINY, _TINY, **params)
+
+
+_SERIES = {"kind": "series", "params": {"kappas": [2, 1]}, "constituents": [{"kind": "entropy"}, {"kind": "bald"}]}
+
+
+def _hybrid(b1):
+    return build_strategy({"kind": "hybrid", "params": {"budgets": [b1, 1]},
+                           "constituents": [{"kind": "random"}, {"kind": "entropy"}]})
+
+
+# (the field its error names, a call taking the value, a value the site accepts)
+SITES = {
+    "stream": ("stream key", lambda v: stream(v), 2),
+    "n_window": ("n_window", lambda v: FeedbackState(n_window=v), 5),
+    "t_initial": ("t_initial", lambda v: AnnealingSchedule(t_initial=v), 5),
+    "t_exploit": ("t_exploit", lambda v: AnnealingSchedule(t_exploit=v), 5),
+    "t_explore": ("t_explore", lambda v: AnnealingSchedule(t_explore=v), 5),
+    "annealing_phase": ("round index", lambda v: annealing_phase(AnnealingSchedule(), v), 2),
+    "random_alternate": ("round index", lambda v: random_alternate(0, v), 2),
+    "epochs": ("epochs", lambda v: TrainConfig(epochs=v), 1),
+    "minibatch": ("minibatch", lambda v: TrainConfig(minibatch=v), 8),
+    "n_passes": ("n_passes", lambda v: MCConfig(n_passes=v), 2),
+    "input_dim": ("input_dim", lambda v: init_model(v, 4, 2, 0.0, 0), 2),
+    "hidden": ("hidden", lambda v: init_model(2, v, 2, 0.0, 0), 4),
+    "n_classes": ("n_classes", lambda v: init_model(2, 4, v, 0.0, 0), 2),
+    "initial_labeled": ("initial_labeled", lambda v: _experiment(initial_labeled=v), 4),
+    "rounds": ("rounds", lambda v: _experiment(rounds=v), 1),
+    "budget": ("budget", lambda v: _experiment(budget=v), 2),
+    "seed": ("seed", lambda v: _experiment(seed=v), 3),
+    "pool_size": ("pool_size", lambda v: _experiment(pool_size=v), 10),
+    "jobs": ("jobs", lambda v: sweep(_experiment(), [0], jobs=v), 1),
+    "check_seeds": ("seeds", lambda v: check_seeds([v]), 3),
+    "Dataset.n_classes": ("n_classes", lambda v: Dataset(_TINY.X, _TINY.y, v), 3),
+    "cells_per_side": ("cells_per_side", lambda v: make_grid_toy(cells_per_side=v, n_per_cell=1), 2),
+    "n_per_cell": ("n_per_cell", lambda v: make_grid_toy(n_per_cell=v), 1),
+    "make_grid_toy.seed": ("stream key", lambda v: make_grid_toy(n_per_cell=1, seed=v), 2),
+    "n_per_class": ("n_per_class", lambda v: make_blobs(v, [[0.0], [1.0]], 0.1), 2),
+    "label_column": ("label_column", lambda v: load_csv("points.csv", v), 2),
+    "select_top_k.budget": ("budget", lambda v: select_top_k(np.arange(3.0), v), 2),
+    "AccuracyTable.seeds": ("seeds", lambda v: AccuracyTable("a", (v,), [[0.5]]), 3),
+    "series.budget": ("series budget", lambda v: build_strategy(_SERIES).budgets(v), 3),
+    "hybrid.budgets": ("hybrid budgets", _hybrid, 2),
+    "check_fields": ("'model.hidden'", lambda v: check_fields({"hidden": v}, {"hidden": 32}, "model"), 4),
+}
+# load_csv takes "3" as a column name, which this headerless file lacks
+_BAD = [float("nan"), float("inf"), 2.5, True, "3"]
+_CASES = [(site, v) for site in SITES for v in _BAD if not (site == "label_column" and v == "3")]
+
+
+@pytest.fixture
+def points_csv(tmp_path, monkeypatch):
+    """A 4-row headerless CSV `points.csv` in the working directory."""
+    (tmp_path / "points.csv").write_text("0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,0\n0.7,0.8,1\n")
+    monkeypatch.chdir(tmp_path)
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("site,value", _CASES)
+    def test_non_integers_rejected_by_name(self, site, value, points_csv):
+        field, call, _ = SITES[site]
+        with pytest.raises(ValueError, match=re.escape(field) + ".* must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_numpy_integer_accepted(self, site, points_csv):
+        _, call, good = SITES[site]
+        call(np.int64(good))
+
+    @pytest.mark.parametrize("site", ["n_window", "annealing_phase", "random_alternate", "budget"])
+    def test_too_small_names_the_bound(self, site):
+        field, call, _ = SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be >= 1, got 0")):
+            call(0)
+
+
+class TestAliasedInputs:
+    def test_fractional_seeds_are_not_truncated(self):
+        # (1.2, 1.7) passed the duplicate check and was stored as (1, 1)
+        with pytest.raises(ValueError, match="a: seeds entries must be an integer, got 1.2"):
+            AccuracyTable("a", (1.2, 1.7), [[0.5, 0.6]])
+
+
+def _hybrid_config(tmp_path, **al):
+    return {
+        "dataset": {"kind": "blobs", "params": {"n_per_class": 40, "centers": [[0.0, 0.0], [4.0, 0.0]],
+                                                "spread": 0.6, "seed": 1}},
+        "al": {"M": 2, "T": 1, "b": 50} | al,
+        "strategy": {"kind": "hybrid", "params": {"budgets": [25.0, 25.0]},
+                     "constituents": [{"kind": "random"}, {"kind": "entropy"}]},
+        "seeds": [0, 1.0],
+        "output_dir": str(tmp_path),
+    }
+
+
+class TestConfigBoundary:
+    """JSON may write an integer as 2.0; only the config boundary converts it."""
+
+    def test_integral_floats_become_ints(self, tmp_path):
+        cfg = validate_config(_hybrid_config(tmp_path, M=2.0))
+        assert cfg["al"]["M"] == 2 and type(cfg["al"]["M"]) is int
+        assert cfg["seeds"] == [0, 1] and all(type(s) is int for s in cfg["seeds"])
+        split = build_strategy(cfg["strategy"]).split
+        assert split == (25, 25) and all(type(b) is int for b in split)
+
+    def test_library_stays_strict(self):
+        with pytest.raises(ValueError, match="initial_labeled must be an integer, got 2.0"):
+            _experiment(initial_labeled=2.0)
