@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _integer, stream
+from .rng import _array, _integer, stream
 
 # Byte budget for one block of pool-minus-labeled differences in k-centers.
 _BLOCK_BYTES = 4 << 20
@@ -33,19 +33,14 @@ class ProbabilityTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=np.float64)
-        if d.ndim != 3:
-            raise ValueError(f"expected [n_passes, n, n_classes], got shape {d.shape}")
+        d = _array(self.data, "probabilities", 3, frozen=True)
         if d.shape[0] < 1 or d.shape[1] < 1 or d.shape[2] < 1:
             raise ValueError(f"degenerate tensor shape {d.shape}")
-        # written so that NaN, which fails every comparison, fails each check
-        if not (d.min() >= -1e-12 and d.max() <= 1.0 + 1e-12):
+        if d.min() < -1e-12 or d.max() > 1.0 + 1e-12:
             raise ValueError("probabilities outside [0, 1]")
-        sums = d.sum(axis=2)
-        if not np.max(np.abs(sums - 1.0)) <= 1e-9:
+        if np.max(np.abs(d.sum(axis=2) - 1.0)) > 1e-9:
             raise ValueError("probability rows must sum to 1 within 1e-9")
         object.__setattr__(self, "data", d)
-        d.flags.writeable = False
 
     @property
     def n_passes(self) -> int:
@@ -109,15 +104,6 @@ def bald_scores(t: ProbabilityTensor) -> np.ndarray:
     return np.maximum(disagreement, 0.0)
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"scores must be 1-D, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("non-finite scores")
-    return s
-
-
 def _check_budget(b: int, n: int) -> None:
     if _integer(b, "budget", 0) > n:
         raise ValueError(f"budget {b} exceeds {n} candidates")
@@ -125,7 +111,7 @@ def _check_budget(b: int, n: int) -> None:
 
 def select_top_k(scores: np.ndarray, b: int) -> np.ndarray:
     """Positions of the b highest scores, descending, ties to lower position."""
-    s = _check_scores(scores)
+    s = _array(scores, "scores", 1)
     _check_budget(b, len(s))
     order = np.lexsort((np.arange(len(s)), -s))
     return order[:b].astype(np.int64)
@@ -139,7 +125,7 @@ def select_power(scores: np.ndarray, b: int, power: float, seed: int) -> np.ndar
     unchanged because it is scale-free. If fewer than b positions carry
     positive weight, the remainder is drawn uniformly from what is left.
     """
-    s = _check_scores(scores)
+    s = _array(scores, "scores", 1)
     _check_budget(b, len(s))
     if s.min() < 0.0:
         raise ValueError("power selection requires nonnegative scores")
@@ -162,15 +148,6 @@ def select_power(scores: np.ndarray, b: int, power: float, seed: int) -> np.ndar
         chosen.append(pick)
         remaining = remaining[remaining != pick]
     return np.asarray(chosen, dtype=np.int64)
-
-
-def _check_features(f: np.ndarray, name: str = "features") -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"non-finite {name}")
-    return f
 
 
 def _closer_sq(rows: np.ndarray, row_sq: np.ndarray, centers: np.ndarray, current: np.ndarray):
@@ -209,8 +186,8 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     one GEMV per pick. The argmax runs on the minima's square roots, so
     distinct squares that round to one root still tie to the lowest position.
     """
-    pool = _check_features(pool_features, "pool features")
-    labeled = _check_features(labeled_features, "labeled features") if len(labeled_features) else None
+    pool = _array(pool_features, "pool features", 2)
+    labeled = _array(labeled_features, "labeled features", 2) if len(labeled_features) else None
     if labeled is not None and labeled.shape[1] != pool.shape[1]:
         raise ValueError("pool and labeled feature widths differ")
     _check_budget(b, len(pool))
@@ -242,7 +219,7 @@ def gradient_embeddings(t: ProbabilityTensor, f: np.ndarray) -> np.ndarray:
     with the feature vector, giving width n_classes * feature_dim. A row is
     all zero exactly when the MC-mean is already one-hot.
     """
-    feats = _check_features(f)
+    feats = _array(f, "features", 2)
     if feats.shape[0] != t.n:
         raise ValueError(f"feature rows {feats.shape[0]} != tensor candidates {t.n}")
     mean = t.mean()
@@ -259,7 +236,7 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
     nearest chosen row, falling back to uniform when every remaining
     distance is zero.
     """
-    emb = _check_features(embeddings, "embeddings")
+    emb = _array(embeddings, "embeddings", 2)
     _check_budget(b, len(emb))
     if b == 0:
         return np.empty(0, dtype=np.int64)
@@ -325,7 +302,7 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     ties go to the lowest position. The matrix is held once: it is exactly
     symmetric, so a candidate's similarities are a row.
     """
-    pool = _check_features(pool_features, "pool features")
+    pool = _array(pool_features, "pool features", 2)
     n = len(pool)
     _check_budget(b, n)
     cols = _cosine_similarity_matrix(pool)
@@ -374,7 +351,7 @@ def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
     Its rounding can differ from a symmetric product's in the last bit, so
     only near ties can rank differently than from the full matrix.
     """
-    feats = _check_features(candidate_features, "candidate features")
+    feats = _array(candidate_features, "candidate features", 2)
     _check_budget(b, len(feats))
     unit = _unit_rows(feats)
     chosen = np.empty(b, dtype=np.int64)

@@ -86,8 +86,10 @@ def _parse_values(text: str) -> list[float]:
 def _jobs(args) -> int:
     if args.jobs is not None:
         return args.jobs
-    env = os.environ.get("ACQBENCH_JOBS", "").strip()
-    return int(env) if env else 1
+    env = os.environ.get("ACQBENCH_JOBS", "").strip() or "1"
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"ACQBENCH_JOBS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def _load_config(path: str) -> dict:

@@ -20,8 +20,6 @@ import copy
 import inspect
 from typing import Any
 
-import numpy as np
-
 from . import model as mdl
 from .datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from .rng import NS_DATASET, derive_seed
@@ -96,7 +94,7 @@ def build_datasets(dataset_cfg: dict) -> tuple[Dataset, Dataset]:
     if kind == "grid":
         full = make_grid_toy(p["cells_per_side"], p["n_per_cell"], p["spread"], p["seed"])
     elif kind == "blobs":
-        full = make_blobs(p["n_per_class"], np.asarray(p["centers"], dtype=np.float64), p["spread"], p["seed"])
+        full = make_blobs(p["n_per_class"], p["centers"], p["spread"], p["seed"])
     else:
         full = load_csv(p["path"], p["label_column"])
     return split(full, p["test_fraction"], seed=derive_seed(p["seed"], NS_DATASET))

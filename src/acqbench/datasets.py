@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NS_SPLIT, _integer, stream
+from .rng import NS_SPLIT, _array, _integer, _labels, stream
 
 
 @dataclass(frozen=True)
@@ -26,23 +26,11 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=np.float64)
-        if np.any(np.mod(self.y, 1)):
-            raise ValueError("labels must be integers")
-        y = np.array(self.y, dtype=np.int64)
-        if X.ndim != 2 or len(X) == 0:
-            raise ValueError(f"X must be a nonempty [n, d] matrix, got shape {X.shape}")
-        if y.shape != (len(X),):
-            raise ValueError(f"y must be [{len(X)}], got shape {y.shape}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("non-finite feature values")
-        _integer(self.n_classes, "n_classes", 2)
-        if len(y) and (y.min() < 0 or y.max() >= self.n_classes):
-            raise ValueError(f"labels outside [0, {self.n_classes})")
+        X = _array(self.X, "dataset features", 2, frozen=True)
+        if len(X) == 0:
+            raise ValueError("empty dataset")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        X.flags.writeable = False
-        y.flags.writeable = False
+        object.__setattr__(self, "y", _labels(self.y, len(X), _integer(self.n_classes, "n_classes", 2)))
 
     def __len__(self) -> int:
         return len(self.X)
@@ -83,8 +71,8 @@ def make_blobs(
     seed: int = 0,
 ) -> Dataset:
     """Isotropic Gaussian blob per center row; class = center row index."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or len(centers) < 2:
+    centers = _array(centers, "centers", 2)
+    if len(centers) < 2:
         raise ValueError(f"centers must be [C >= 2, d], got shape {centers.shape}")
     if len(np.unique(centers, axis=0)) != len(centers):
         raise ValueError("duplicate blob centers")

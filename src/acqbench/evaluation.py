@@ -17,7 +17,7 @@ from html import escape
 import numpy as np
 
 from .fileio import csv_text
-from .rng import _integer
+from .rng import _array, _integer
 from .simulator import RunRecord
 
 DEFAULT_CRITICAL = 2.776
@@ -32,19 +32,16 @@ class AccuracyTable:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
+        d = _array(self.data, f"{self.name}: accuracies", 2, frozen=True)
+        if d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"data must be [rounds, seeds], got shape {d.shape}")
         seeds = tuple(_integer(s, f"{self.name}: seeds entries") for s in self.seeds)
         if d.shape[1] != len(seeds):
             raise ValueError(f"{d.shape[1]} columns but {len(seeds)} seeds")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"{self.name}: duplicate seeds {list(seeds)}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("non-finite accuracies")
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "seeds", seeds)
-        d.flags.writeable = False
 
     @property
     def n_rounds(self) -> int:
@@ -78,14 +75,11 @@ def t_score(a: np.ndarray, b: np.ndarray) -> float:
     (a constant nonzero gap is infinitely significant) and to 0 when the
     runs are identical.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"paired samples must be equal-length 1-D, got {a.shape} and {b.shape}")
+    a, b = _array(a, "paired samples a", 1), _array(b, "paired samples b", 1)
+    if a.shape != b.shape:
+        raise ValueError(f"paired samples must be equal-length, got {a.shape} and {b.shape}")
     if len(a) < 2:
         raise ValueError(f"need at least 2 pairs, got {len(a)}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite accuracies")
     d = a - b
     mu = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -108,9 +102,8 @@ def winning_rate(a: AccuracyTable | np.ndarray, b: AccuracyTable | np.ndarray, c
     critical = _check_critical(critical)
     if isinstance(a, AccuracyTable) and isinstance(b, AccuracyTable) and a.seeds != b.seeds:
         raise ValueError(f"table {b.name} seeds {b.seeds} != {a.seeds} (pairing broken)")
-    da = a.data if isinstance(a, AccuracyTable) else np.asarray(a, dtype=np.float64)
-    db = b.data if isinstance(b, AccuracyTable) else np.asarray(b, dtype=np.float64)
-    if da.shape != db.shape or da.ndim != 2:
+    da, db = (_array(getattr(t, "data", t), "accuracy table", 2) for t in (a, b))
+    if da.shape != db.shape:
         raise ValueError(f"tables must be congruent [rounds, seeds], got {da.shape} and {db.shape}")
     wins = sum(1 for r in range(da.shape[0]) if t_score(da[r], db[r]) > critical)
     return wins / da.shape[0]
@@ -125,7 +118,7 @@ class WinningRateMatrix:
     critical: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        m = _array(self.matrix, "winning rates", 2, frozen=True)
         k = len(self.names)
         if m.shape != (k, k):
             raise ValueError(f"matrix shape {m.shape} does not match {k} names")
@@ -133,7 +126,6 @@ class WinningRateMatrix:
             raise ValueError(f"duplicate strategy names {self.names}")
         object.__setattr__(self, "critical", _check_critical(self.critical))
         object.__setattr__(self, "matrix", m)
-        m.flags.writeable = False
 
     def row_averages(self) -> np.ndarray:
         """Mean winning rate per strategy, diagonal excluded."""

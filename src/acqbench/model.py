@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import ProbabilityTensor
-from .rng import NS_MC, _integer, stream
+from .rng import NS_MC, _array, _integer, _labels, stream
 
 _WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -26,7 +26,7 @@ _WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 @dataclass(frozen=True)
 class ModelParams:
     """Weights and architecture of the classifier. Immutable: holds
-    read-only float64 copies of the arrays it is given."""
+    read-only float64 copies of the arrays it is given, `w*` 2-D, `b*` 1-D."""
 
     dropout: float
     w1: np.ndarray
@@ -40,10 +40,7 @@ class ModelParams:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in _WEIGHTS:
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {name}")
-            arr.flags.writeable = False
+            arr = _array(getattr(self, name), name, 2 if name[0] == "w" else 1, frozen=True)
             object.__setattr__(self, name, arr)
 
     @property
@@ -77,6 +74,7 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         _integer(self.epochs, "epochs", 0)
         _integer(self.minibatch, "minibatch", 1)
+        _integer(self.seed, "train seed")
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,7 @@ class MCConfig:
 
     def __post_init__(self):
         _integer(self.n_passes, "n_passes", 1)
+        _integer(self.seed, "MC seed")
 
 
 def init_model(input_dim: int, hidden: int, n_classes: int, dropout: float, seed: int) -> ModelParams:
@@ -181,23 +180,12 @@ def _backprop(w: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...], X: np.nd
 def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Validate a batch against the model; returns X as float64 and y as
     int64 (None when not given)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.input_dim:
+    X = _array(X, "input features", 2)
+    if X.shape[1] != p.input_dim:
         raise ValueError(f"inputs must be [n, {p.input_dim}], got shape {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("empty input batch")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite input features")
-    if y is not None:
-        y = np.asarray(y)
-        if y.shape != (X.shape[0],):
-            raise ValueError(f"labels must be [n], got shape {y.shape}")
-        if np.any(np.mod(y, 1)):
-            raise ValueError("labels must be integers")
-        if y.min() < 0 or y.max() >= p.n_classes:
-            raise ValueError(f"labels out of range [0, {p.n_classes})")
-        y = y.astype(np.int64, copy=False)
-    return X, y
+    return X, None if y is None else _labels(y, len(X), p.n_classes)
 
 
 def train(p: ModelParams, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ModelParams:

@@ -1,9 +1,12 @@
-"""Counter-based random streams.
+"""Counter-based random streams, and the package's input rules.
 
 Every piece of randomness in the package flows through `stream`, keyed by an
 integer tuple (run seed, namespace, round, ...). Streams with different keys
 are independent; the same key always yields the same stream, so runs are
 bit-reproducible and individual draws can be replayed in isolation.
+
+It also owns the package's input rules: `_integer` (counts, budgets, seeds,
+stream keys), `_array` (float arrays) and `_labels` (class-label vectors).
 """
 
 from __future__ import annotations
@@ -41,6 +44,36 @@ def _json_integer(value, where: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     return _integer(value, where)
+
+
+def _array(value, where: str, ndim: int, frozen: bool = False) -> np.ndarray:
+    """The one float-array rule: `value` as float64 with `ndim` axes and
+    every entry finite, else a ValueError naming `where`. A view when the
+    input already fits; `frozen=True` gives a read-only copy for a frozen
+    dataclass to keep, so the caller's array stays writeable and unshared."""
+    a = np.array(value, dtype=np.float64) if frozen else np.asarray(value, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"{where} must be {ndim}-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite {where}")
+    if frozen:
+        a.flags.writeable = False
+    return a
+
+
+def _labels(y, n: int, n_classes: int) -> np.ndarray:
+    """The one label rule: `y` as a new read-only int64 vector of shape [n],
+    integer-valued (NaN and inf fail) and in [0, n_classes)."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValueError(f"labels must be [{n}], got shape {y.shape}")
+    if not (np.isfinite(y).all() and (np.mod(y, 1) == 0).all()):
+        raise ValueError("labels must be integers")
+    if n and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"labels outside [0, {n_classes})")
+    y = y.astype(np.int64)
+    y.flags.writeable = False
+    return y
 
 
 def stream(*key: int) -> np.random.Generator:

@@ -276,7 +276,8 @@ class ParallelRankedStrategy(Strategy):
 
 class HybridStrategy(Strategy):
     """Split budget over a shared pool: the first constituent picks
-    budgets[0] from the pool, the second budgets[1] from what is left."""
+    budgets[0] from the pool, the second budgets[1] from what is left. An
+    arm whose budget is 0 does not run, so it asks for no forward pass."""
 
     def __init__(self, first: Strategy, second: Strategy, budgets):
         if len(budgets) != 2:
@@ -295,9 +296,9 @@ class HybridStrategy(Strategy):
     def select(self, state, candidates, budget, seed):
         pool = _ascending(candidates)
         (first, second), (b1, b2) = self.constituents, self.budgets(budget)
-        picked = first.select(state, pool, b1, (*seed, 1))
+        picked = first.select(state, pool, b1, (*seed, 1)) if b1 else pool[:0]
         rest = pool[~np.isin(pool, picked)]
-        return np.concatenate([picked, second.select(state, rest, b2, (*seed, 2))])
+        return np.concatenate([picked, second.select(state, rest, b2, (*seed, 2)) if b2 else rest[:0]])
 
 
 class _AlternatingStrategy(Strategy):

@@ -4,14 +4,15 @@ import itertools
 
 import numpy as np
 
-from acqbench.acquisition import _check_budget, _check_features, _cosine_similarity_matrix
+from acqbench.acquisition import _check_budget, _cosine_similarity_matrix
 from acqbench.aggregation import EXPLOIT, AnnealingSchedule, annealing_phase
+from acqbench.rng import _array
 
 
 def facility_location_value(pool_features: np.ndarray, batch: np.ndarray) -> float:
     """Objective value of a batch under facility location's floored-cosine
     coverage, from the full n x n similarity matrix."""
-    pool = _check_features(pool_features, "pool features")
+    pool = _array(pool_features, "pool features", 2)
     batch = np.asarray(batch, dtype=np.int64)
     if len(batch) == 0:
         return 0.0
@@ -30,7 +31,7 @@ def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
     sensitive on purpose: position 0 of the candidate list is the seed,
     which lets an upstream stage hand over its top-ranked pick.
     """
-    feats = _check_features(candidate_features, "candidate features")
+    feats = _array(candidate_features, "candidate features", 2)
     _check_budget(b, len(feats))
     if b == 0:
         return np.empty(0, dtype=np.int64)

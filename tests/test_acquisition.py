@@ -12,7 +12,6 @@ from acqbench.acquisition import (
     _BLOCK_BYTES,
     ProbabilityTensor,
     _check_budget,
-    _check_features,
     bald_scores,
     entropy_scores,
     gradient_embeddings,
@@ -26,7 +25,7 @@ from acqbench.acquisition import (
     select_power,
     select_top_k,
 )
-from acqbench.rng import stream
+from acqbench.rng import _array, stream
 from oracles import facility_location_value
 from oracles import select_disparity_min as reference_disparity_min
 
@@ -269,8 +268,8 @@ def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
 
 
 def _reference_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b: int) -> np.ndarray:
-    pool = _check_features(pool_features, "pool features")
-    labeled = _check_features(labeled_features, "labeled features") if len(labeled_features) else None
+    pool = _array(pool_features, "pool features", 2)
+    labeled = _array(labeled_features, "labeled features", 2) if len(labeled_features) else None
     if labeled is not None and labeled.shape[1] != pool.shape[1]:
         raise ValueError("pool and labeled feature widths differ")
     _check_budget(b, len(pool))
@@ -292,7 +291,7 @@ def _reference_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray
 
 
 def _reference_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
-    pool = _check_features(pool_features, "pool features")
+    pool = _array(pool_features, "pool features", 2)
     _check_budget(b, len(pool))
     sims = _cosine_similarity_matrix(pool)
     cover = np.zeros(len(pool))
@@ -316,7 +315,7 @@ def _reference_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray
     nearest chosen row, falling back to uniform when every remaining
     distance is zero.
     """
-    emb = _check_features(embeddings, "embeddings")
+    emb = _array(embeddings, "embeddings", 2)
     _check_budget(b, len(emb))
     if b == 0:
         return np.empty(0, dtype=np.int64)

@@ -628,3 +628,10 @@ class TestJobsEnv:
         main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "plain")])
         b = (tmp_path / "plain" / "entropy" / "0" / "record.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_env_var_is_named(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("ACQBENCH_JOBS", value)
+        rc = main(["sweep", "--config", _write_config(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "ACQBENCH_JOBS" in capsys.readouterr().err

@@ -1,19 +1,29 @@
-"""Tests for keyed random streams, the package's integer rule and atomic
-artifact writes."""
+"""Tests for keyed random streams, the package's integer, array and label
+rules, and atomic artifact writes."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acqbench.acquisition import select_top_k
+from acqbench.acquisition import (
+    ProbabilityTensor,
+    gradient_embeddings,
+    select_disparity_min,
+    select_facility_location,
+    select_k_centers,
+    select_kmeanspp,
+    select_power,
+    select_top_k,
+)
 from acqbench.aggregation import AnnealingSchedule, FeedbackState, annealing_phase, random_alternate
 from acqbench.config import validate_config
 from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy
-from acqbench.evaluation import AccuracyTable
+from acqbench.evaluation import AccuracyTable, WinningRateMatrix, t_score, winning_rate
 from acqbench.fileio import atomic_write_text
-from acqbench.model import MCConfig, TrainConfig, init_model
-from acqbench.rng import derive_seed, stream
+from acqbench.model import MCConfig, ModelParams, TrainConfig, init_model, predict_proba, train
+from acqbench.rng import _array, derive_seed, stream
 from acqbench.simulator import ExperimentConfig, check_seeds, sweep
 from acqbench.strategies import build_strategy, check_fields
 
@@ -113,6 +123,8 @@ SITES = {
     "random_alternate": ("round index", lambda v: random_alternate(0, v), 2),
     "epochs": ("epochs", lambda v: TrainConfig(epochs=v), 1),
     "minibatch": ("minibatch", lambda v: TrainConfig(minibatch=v), 8),
+    "TrainConfig.seed": ("train seed", lambda v: TrainConfig(seed=v), 3),
+    "MCConfig.seed": ("MC seed", lambda v: MCConfig(seed=v), 3),
     "n_passes": ("n_passes", lambda v: MCConfig(n_passes=v), 2),
     "input_dim": ("input_dim", lambda v: init_model(v, 4, 2, 0.0, 0), 2),
     "hidden": ("hidden", lambda v: init_model(2, v, 2, 0.0, 0), 4),
@@ -199,3 +211,87 @@ class TestConfigBoundary:
     def test_library_stays_strict(self):
         with pytest.raises(ValueError, match="initial_labeled must be an integer, got 2.0"):
             _experiment(initial_labeled=2.0)
+
+
+# --- the array and label rules at every site that takes a float array or labels ---
+
+_F = np.arange(6.0).reshape(3, 2)
+_Y = np.array([0.0, 1.0, 0.0])
+_P = init_model(2, 4, 2, 0.0, 0)
+_T = ProbabilityTensor(np.full((2, 3, 2), 0.5))
+_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def _params_with(name):
+    return lambda a: ModelParams(_P.dropout, **{n: getattr(_P, n) for n in _WEIGHTS} | {name: a})
+
+
+# (the field its error names, a call taking the array, an array the site accepts)
+ARRAY_SITES = {
+    "ProbabilityTensor": ("probabilities", ProbabilityTensor, np.full((2, 3, 2), 0.5)),
+    "select_top_k": ("scores", lambda a: select_top_k(a, 1), np.arange(3.0)),
+    "select_power": ("scores", lambda a: select_power(a, 1, 1.0, 0), np.arange(3.0)),
+    "k_centers.pool": ("pool features", lambda a: select_k_centers(a, np.zeros((0, 2)), 1), _F),
+    "k_centers.labeled": ("labeled features", lambda a: select_k_centers(_F, a, 1), _F),
+    "gradient_embeddings": ("features", lambda a: gradient_embeddings(_T, a), _F),
+    "kmeanspp": ("embeddings", lambda a: select_kmeanspp(a, 1, 0), _F),
+    "facility_location": ("pool features", lambda a: select_facility_location(a, 1), _F),
+    "disparity_min": ("candidate features", lambda a: select_disparity_min(a, 1), _F),
+    **{f"ModelParams.{n}": (n, _params_with(n), getattr(_P, n)) for n in _WEIGHTS},
+    "model inputs": ("input features", lambda a: predict_proba(_P, a), _F),
+    "model labels": ("labels", lambda y: train(_P, _F, y, TrainConfig(epochs=1)), _Y),
+    "Dataset.X": ("dataset features", lambda a: Dataset(a, _Y, 2), _F),
+    "Dataset.y": ("labels", lambda y: Dataset(_F, y, 2), _Y),
+    "make_blobs.centers": ("centers", lambda a: make_blobs(2, a, 0.1), np.array([[0.0, 0.0], [1.0, 1.0]])),
+    "AccuracyTable": ("a: accuracies", lambda a: AccuracyTable("a", (0, 1), a), np.full((2, 2), 0.5)),
+    "t_score.a": ("paired samples a", lambda a: t_score(a, [0.5, 0.5, 0.5]), np.array([0.4, 0.5, 0.7])),
+    "t_score.b": ("paired samples b", lambda b: t_score([0.5, 0.5, 0.5], b), np.array([0.4, 0.5, 0.7])),
+    "winning_rate": ("accuracy table", lambda a: winning_rate(a, np.full((2, 2), 0.5)), np.full((2, 2), 0.7)),
+    "WinningRateMatrix": ("winning rates", lambda a: WinningRateMatrix(("a", "b"), a, 2.0),
+                          np.array([[0.0, 0.5], [0.5, 0.0]])),
+}
+
+
+def _bad(good, how):
+    """`good` with its last entry NaN or inf, or with one axis fewer (one
+    more for a vector). A NaN `WinningRateMatrix` used to reach the SVG, and
+    a 1-D `w1` made `ModelParams.hidden` raise IndexError."""
+    if how == "ndim":
+        return good[0] if good.ndim > 1 else good[None]
+    bad = np.array(good, dtype=np.float64)
+    bad.flat[-1] = {"nan": np.nan, "inf": np.inf}[how]
+    return bad
+
+
+class TestArrayRule:
+    @pytest.mark.parametrize("how", ["nan", "inf", "ndim"])
+    @pytest.mark.parametrize("site", ARRAY_SITES)
+    def test_bad_arrays_rejected_by_name(self, site, how):
+        field, call, good = ARRAY_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(field)):
+            call(_bad(good, how))
+
+    @pytest.mark.parametrize("site", ARRAY_SITES)
+    def test_good_array_accepted(self, site):
+        _, call, good = ARRAY_SITES[site]
+        call(good.copy())
+
+    def test_call_paths_get_the_callers_array(self):
+        # selectors and model calls must not copy their inputs
+        assert _array(_F, "f", 2) is _F
+
+
+# read as `src_lines` in conftest.py reads it
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"
+
+
+class TestRuleOwners:
+    def test_only_rng_checks_finiteness_or_freezes_arrays(self):
+        # the array rule has one owner; a second copy of it must not regrow
+        pattern = re.compile(r"\bnp\.isfinite\b|\.flags\.writeable\s*=(?!=)")
+        offenders = [
+            f"{path.name}: {line.strip()}"
+            for path in sorted(_PACKAGE.rglob("*.py")) if path.name != "rng.py"
+            for line in path.read_text(encoding="utf-8").splitlines() if pattern.search(line)
+        ]
+        assert offenders == []

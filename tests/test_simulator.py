@@ -189,6 +189,16 @@ class TestInferenceAccounting:
         rec = run_experiment(_config({"kind": "bald"}, pool_size=20))
         assert all(r.n_infer == 2 * 20 for r in rec.rows)
 
+    def test_zero_budget_hybrid_arm_does_not_run(self):
+        # the k_centers arm used to run on the empty rest of a 4-point pool
+        # and fail with "empty input batch"; on a larger pool it added passes
+        spec = {"kind": "hybrid", "params": {"budgets": [4, 0]},
+                "constituents": [{"kind": "entropy"}, {"kind": "k_centers"}]}
+        hybrid = run_experiment(_config(spec, pool_size=4))
+        alone = run_experiment(_config({"kind": "entropy"}, pool_size=4))
+        assert [r.n_infer for r in hybrid.rows] == [r.n_infer for r in alone.rows] == [2 * 4] * 3
+        assert [r.selected for r in hybrid.rows] == [r.selected for r in alone.rows]
+
 
 class TestOracle:
     def test_identity(self):
