@@ -75,8 +75,8 @@ def _validate(raw: dict) -> dict:
     _checked_by("model", mdl.init_model, n_in, out["model"]["hidden"], n_classes, out["model"]["dropout"], 0)
     _checked_by("train", mdl.TrainConfig, **out["train"])
     _checked_by("mc", mdl.MCConfig, **out["mc"])
-    _checked_by("al", _experiment, out, out["seeds"][0], train_ds, test_ds)
-    _checked_by("strategy", lambda: build_strategy(out["strategy"]).check_budget(out["al"]["b"]))
+    exp = _checked_by("al", _experiment, out, out["seeds"][0], train_ds, test_ds)
+    _checked_by("strategy", lambda: build_strategy(out["strategy"]).check_budget(exp.budget, exp.smallest_pool))
     return out
 
 

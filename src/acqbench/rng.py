@@ -6,7 +6,8 @@ are independent; the same key always yields the same stream, so runs are
 bit-reproducible and individual draws can be replayed in isolation.
 
 It also owns the package's input rules: `_integer` (counts, budgets, seeds,
-stream keys), `_array` (float arrays) and `_labels` (class-label vectors).
+stream keys), `_array` (float arrays) and `_labels` (class-label vectors),
+and `_read_only`, which freezes an array that no caller holds yet.
 """
 
 from __future__ import annotations
@@ -56,8 +57,13 @@ def _array(value, where: str, ndim: int, frozen: bool = False) -> np.ndarray:
         raise ValueError(f"{where} must be {ndim}-D, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite {where}")
-    if frozen:
-        a.flags.writeable = False
+    return _read_only(a) if frozen else a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself, made read-only: for an array that no caller holds a
+    writeable view of, such as one a function has just computed."""
+    a.flags.writeable = False
     return a
 
 
@@ -71,9 +77,7 @@ def _labels(y, n: int, n_classes: int) -> np.ndarray:
         raise ValueError("labels must be integers")
     if n and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"labels outside [0, {n_classes})")
-    y = y.astype(np.int64)
-    y.flags.writeable = False
-    return y
+    return _read_only(y.astype(np.int64))
 
 
 def stream(*key: int) -> np.random.Generator:

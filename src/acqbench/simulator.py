@@ -11,7 +11,8 @@ by (run seed, namespace, round), so records are bit-identical across
 re-runs and across processes in a sweep.
 
 Inference accounting covers acquisition-phase forward passes only (what the
-strategy asked the model for). Test-set evaluation and the batch-loss probe
+model computed for the strategy; a point asked for twice in a round is
+computed once). Test-set evaluation and the batch-loss probe
 are bookkeeping, not acquisition cost, and are excluded on purpose so the
 per-strategy cost identities stay exact.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -98,6 +98,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"initial_labeled + rounds * budget = {needed} exceeds training set of {len(self.train_ds)}"
             )
+
+    @property
+    def smallest_pool(self) -> int:
+        """Candidates in the last round's pool, the smallest of the run."""
+        return min(self.pool_size, len(self.train_ds) - self.initial_labeled - (self.rounds - 1) * self.budget)
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ def start(cfg: ExperimentConfig) -> Run:
     """Build and budget-check the strategy tree, draw the initial labels,
     and fit and evaluate the round-0 model."""
     strategy = build_strategy(cfg.strategy_spec)
-    strategy.check_budget(cfg.budget)
+    strategy.check_budget(cfg.budget, cfg.smallest_pool)
     labeled = np.zeros(len(cfg.train_ds), dtype=bool)
     labeled[stream(cfg.seed, NS_INIT_LABELED).choice(len(labeled), size=cfg.initial_labeled, replace=False)] = True
     params, _, accuracy = _fit(cfg, labeled, 0)
@@ -259,6 +264,8 @@ def sweep(cfg: ExperimentConfig, seeds, jobs: int = 1) -> list[RunRecord]:
     tasks = [(cfg, s) for s in seeds]
     if jobs == 1 or len(seeds) == 1:
         return [_run_with_seed(t) for t in tasks]
+    # imported here: the import takes ~20 ms, and most commands start no worker
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
         return list(pool.map(_run_with_seed, tasks))
 

@@ -17,7 +17,8 @@ index, so "lowest index" tie-breaks mean dataset order. The disparity_min
 row alone keeps the order it is given and seeds at position 0, so a series
 stage upstream hands it their top-ranked pick.
 
-`RoundState` counts every forward pass a strategy asks for, Monte Carlo
+`RoundState` computes each point's Monte Carlo stack and features at most
+once per round, and counts every forward pass it computed, Monte Carlo
 scoring in `n_mc` and feature extraction in `n_features`, exactly.
 """
 
@@ -43,12 +44,50 @@ from .aggregation import (
     parallel_ranked_select,
     random_alternate,
 )
-from .rng import _integer, _json_integer, derive_seed, stream
+from .rng import _integer, _json_integer, _read_only, derive_seed, stream
+
+
+class _Memo:
+    """The rows one purpose computed this round, by dataset index: index i
+    is row `row[i]` along `axis` of `blocks[block[i]]`, or not computed yet
+    while `block[i]` is -1. `rows_of(result)` is a computed result's rows,
+    read-only (by default the result itself, frozen); `wrap` turns gathered
+    rows into a result."""
+
+    def __init__(self, n: int, axis: int, rows_of: Callable = _read_only, wrap: Callable = _read_only):
+        self.block, self.row, self.blocks = np.full(n, -1), np.zeros(n, dtype=np.int64), []
+        self.axis, self.rows_of, self.wrap = axis, rows_of, wrap
+
+    def __call__(self, idx: np.ndarray, compute: Callable) -> tuple[object, int]:
+        """The result for `idx`, rows in request order, and how many rows
+        were computed: the misses, in one `compute` call. A request without
+        a hit gets that call's result itself; one with a hit, rows gathered.
+        `compute` is not kept: a stored closure over the `RoundState` would
+        make a cycle that holds the round's arrays until the cyclic GC."""
+        idx = np.asarray(idx, dtype=np.int64)
+        new = idx[self.block[idx] < 0]
+        if len(new) or not len(idx):
+            result = compute(new)
+            self.block[new], self.row[new] = len(self.blocks), np.arange(len(new))
+            self.blocks.append(self.rows_of(result))
+            if len(new) == len(idx):
+                return result, len(new)
+        block, row = self.block[idx], self.row[idx]
+        shape = list(self.blocks[0].shape)
+        shape[self.axis] = len(idx)
+        out = np.empty(shape)
+        for b in np.unique(block):
+            at = block == b
+            np.moveaxis(out, self.axis, 0)[at] = np.moveaxis(self.blocks[b], self.axis, 0)[row[at]]
+        return self.wrap(out), len(new)
 
 
 class RoundState:
-    """Read-only model access for one round. `n_mc` and `n_features` count
-    the forward passes its strategy asked for, by purpose."""
+    """Read-only model access for one round. Monte Carlo stacks and features
+    are each computed once per point and round, on the point's first
+    request; `n_mc` and `n_features` count the forward passes computed, by
+    purpose. Dropout masks stay keyed by row position within a call, so the
+    first request of a round fixes a point's Monte Carlo prediction."""
 
     def __init__(
         self,
@@ -66,16 +105,21 @@ class RoundState:
         self.round_index = round_index
         self.run_seed = run_seed
         self.n_mc = self.n_features = 0
+        self._mc = _Memo(len(self.X), 1, lambda t: t.data, acq.ProbabilityTensor)
+        self._features = _Memo(len(self.X), 0)
 
     def mc_probs(self, idx: np.ndarray) -> acq.ProbabilityTensor:
         """Monte Carlo softmax stack for the given dataset indices."""
-        self.n_mc += self.mc.n_passes * len(idx)
-        return mdl.mc_predict(self.params, self.X[idx], self.mc)
+        # through the module, so a rebound `mdl.mc_predict` sees every computed pass
+        t, computed = self._mc(idx, lambda new: mdl.mc_predict(self.params, self.X[new], self.mc))
+        self.n_mc += self.mc.n_passes * computed
+        return t
 
     def features_of(self, idx: np.ndarray) -> np.ndarray:
-        """Last-hidden-layer features for the given dataset indices."""
-        self.n_features += len(idx)
-        return mdl.features(self.params, self.X[idx])
+        """Last-hidden-layer features for the given dataset indices, read-only."""
+        f, computed = self._features(idx, lambda new: mdl.features(self.params, self.X[new]))
+        self.n_features += computed
+        return f
 
     def labeled_features(self) -> np.ndarray:
         """Features of the currently labeled set (empty set costs nothing)."""
@@ -116,10 +160,17 @@ class Strategy:
         structure's budget rule, raising ValueError when it is broken."""
         return [budget] * len(self.constituents)
 
-    def check_budget(self, budget: int) -> None:
-        """Apply `budgets` down the whole tree, before any training."""
-        for sub, b in zip(self.constituents, self.budgets(budget)):
-            sub.check_budget(b)
+    def counts(self, n: int, budgets: list[int]) -> list[int]:
+        """Each constituent's candidate count when this node gets `n`
+        candidates and hands out `budgets`."""
+        return [n] * len(self.constituents)
+
+    def check_budget(self, budget: int, n: int) -> None:
+        """Apply `budgets` and `counts` down the whole tree, before any
+        training; `n` is the root's smallest round pool."""
+        budgets = self.budgets(budget)
+        for sub, b, m in zip(self.constituents, budgets, self.counts(n, budgets)):
+            sub.check_budget(b, m)
 
 
 def _ascending(candidates: np.ndarray) -> np.ndarray:
@@ -200,6 +251,10 @@ class LeafStrategy(Strategy):
         super().__init__(name(**params) if name else kind)
         self.kind, self.params = kind, params
 
+    def check_budget(self, budget, n):
+        if budget > n:
+            raise ValueError(f"{self.name} budget {budget} exceeds {n} candidates")
+
     def select(self, state, candidates, budget, seed):
         leaf = LEAVES[self.kind]
         cands = np.asarray(candidates, dtype=np.int64) if leaf.keep_order else _ascending(candidates)
@@ -226,6 +281,9 @@ class SeriesStrategy(Strategy):
         budget = _integer(budget, "series budget", 1)
         return [int(round(k * budget)) for k in self.kappas]
 
+    def counts(self, n, budgets):
+        return [n, *budgets[:-1]]
+
     def select(self, state, candidates, budget, seed):
         cands = _ascending(candidates)
         for i, (stage, b) in enumerate(zip(self.constituents, self.budgets(budget))):
@@ -247,6 +305,9 @@ class ParallelStrategy(Strategy):
         if budget % 2 != 0:
             raise ValueError(f"parallel selection needs an even budget, got {budget}")
         return [budget // 2] * 2
+
+    def counts(self, n, budgets):
+        return [(n + 1) // 2, n // 2]
 
     def select(self, state, candidates, budget, seed):
         pool = _ascending(candidates)
@@ -292,6 +353,9 @@ class HybridStrategy(Strategy):
         if budget != sum(self.split):
             raise ValueError(f"hybrid budgets {self.split[0]}+{self.split[1]} != round budget {budget}")
         return list(self.split)
+
+    def counts(self, n, budgets):
+        return [n, n - budgets[0]]
 
     def select(self, state, candidates, budget, seed):
         pool = _ascending(candidates)

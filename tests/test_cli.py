@@ -160,6 +160,29 @@ class TestValidateConfig:
         cfg["al"]["b"] = 2
         validate_config(cfg)
 
+    def test_stage_budget_checked_against_round_pool(self, tmp_path, capsys, monkeypatch):
+        # the series' k_centers stage picks 4 * 10 = 40 from a 20-point pool
+        cfg = self._with_strategy({"kind": "series", "params": {"kappas": [4, 1]},
+                                   "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]}, b=10)
+        cfg["dataset"] = {"kind": "grid", "params": {"cells_per_side": 4, "n_per_cell": 25}}
+        cfg["al"].update(M=10, T=3, pool_size=20)
+        cfg["output_dir"] = str(tmp_path / "out")
+        with pytest.raises(ValueError, match="invalid 'strategy': k_centers budget 40 exceeds 20 candidates"):
+            validate_config(cfg)
+        monkeypatch.setattr("acqbench.model.train", lambda *a, **k: pytest.fail("trained before the budget check"))
+        assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert "invalid 'strategy': k_centers budget 40 exceeds 20 candidates" in capsys.readouterr().err
+
+    def test_stage_budget_checked_against_last_round_pool(self):
+        # 45 training rows: round t's pool holds 45 - 4 - 10 (t - 1), so the
+        # stage's 30 picks fit rounds 1 and 2 (41 and 31) but not round 3 (21)
+        cfg = self._with_strategy({"kind": "series", "params": {"kappas": [3, 1]},
+                                   "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]}, b=10)
+        validate_config(cfg)
+        cfg["al"]["T"] = 3
+        with pytest.raises(ValueError, match="invalid 'strategy': k_centers budget 30 exceeds 21 candidates"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("kappas", [[2, 2], [1, 2], [2, 1, 1]])
     def test_bad_series_kappas_named(self, kappas):
         cfg = self._with_strategy({"kind": "series", "params": {"kappas": kappas},

@@ -84,9 +84,9 @@ PINS = {
     "random": "1b0fa79c7cedea53c5d09733ba06cda14980b674f892d44240691d04ae37fbb6",
     "random_alternate": "46e828cd8a4b3d8695f6d0ba8876827f76c3a8c13f249b5900f1718771bc3304",
     "series": "3f5747052fcb29b6b77184a7cd72c878e55acdf9832be6eb78135f50e138bc40",
-    "series_badge_parallel": "4f594ceab65d644c0b66fa4c7470f4d108281649399175c4cefdf5c0060da593",
-    "series_bald_hybrid": "9c73588c0b1e6b0747433ecc70c8400c181b0e25215e4a882b83e2e550bf2944",
-    "series_k_centers_feedback": "24773576fed3a0608a075525a5424cc8dacfc4aa801c087dca3989d298fc8398",
+    "series_badge_parallel": "3999ded21f2e71b00d9eff31d4a92526deb84509b27ddb4ffe3327f889de24ed",
+    "series_bald_hybrid": "678ef8abef72d5449aa19847a4a83712038733ebcb9b7c26952788293098a571",
+    "series_k_centers_feedback": "f6958a56c4b9789d06c897cebe871e7d505cfb5c3976a14535a9892dd6daa923",
 }
 
 

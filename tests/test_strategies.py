@@ -244,6 +244,100 @@ class TestMetering:
             RoundState(state.params, state.X, state.labeled, state.mc, n_mc=5)
 
 
+class TestRoundMemo:
+    """Each point's MC stack and features are computed once per round."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        # (function, rows, result) of every mc_predict / features call
+        calls = []
+        for name in ("mc_predict", "features"):
+            def spy(p, X, *rest, _real=getattr(mdl, name), _name=name):
+                out = _real(p, X, *rest)
+                calls.append((_name, len(X), out))
+                return out
+            monkeypatch.setattr(mdl, name, spy)
+        return calls
+
+    def test_repeated_and_subset_requests_cost_nothing(self, computed):
+        state = _state(n_passes=3)
+        idx = _pool(state, 10)
+        t, f = state.mc_probs(idx), state.features_of(idx)
+        computed.clear()
+        again, part = state.mc_probs(idx), state.mc_probs(idx[[7, 2, 5]])
+        f_again, f_part = state.features_of(idx), state.features_of(idx[[7, 2, 5]])
+        assert computed == []
+        assert (state.n_mc, state.n_features) == (3 * 10, 10)
+        assert again.data.tobytes() == t.data.tobytes()
+        assert part.data.tobytes() == t.data[:, [7, 2, 5]].tobytes()
+        assert f_again.tobytes() == f.tobytes() and f_part.tobytes() == f[[7, 2, 5]].tobytes()
+
+    def test_partial_overlap_computes_only_the_misses(self, computed):
+        state = _state(n_passes=3)
+        first = state.mc_probs(np.arange(6, 12))
+        state.features_of(np.arange(6, 12))
+        computed.clear()
+        t = state.mc_probs(np.arange(10, 16))
+        f = state.features_of(np.arange(10, 16))
+        assert [(name, rows) for name, rows, _ in computed] == [("mc_predict", 4), ("features", 4)]
+        assert (state.n_mc, state.n_features) == (3 * (6 + 4), 6 + 4)
+        # hits keep the rows of the first request; misses are one call on the misses
+        assert t.data[:, :2].tobytes() == first.data[:, 4:].tobytes()
+        assert t.data[:, 2:].tobytes() == mdl.mc_predict(state.params, state.X[12:16], state.mc).data.tobytes()
+        assert f.tobytes() == mdl.features(state.params, state.X[10:16]).tobytes()
+
+    def test_new_round_state_starts_empty(self, computed):
+        idx = _pool(_state(), 10)
+        for _ in range(2):
+            state = _state(n_passes=3)
+            for _ in range(2):
+                state.mc_probs(idx)
+                state.features_of(idx)
+            assert (state.n_mc, state.n_features) == (3 * 10, 10)
+        assert [(name, rows) for name, rows, _ in computed] == [("mc_predict", 10), ("features", 10)] * 2
+
+    def test_returned_arrays_are_read_only(self, computed):
+        state = _state()
+        fresh, fresh_f = state.mc_probs(np.arange(6, 12)), state.features_of(np.arange(6, 12))
+        # a request without a hit gets the computed array itself, no copy
+        assert fresh is computed[0][2] and fresh_f is computed[1][2]
+        gathered, gathered_f = state.mc_probs(np.arange(4, 10)), state.features_of(np.arange(4, 10))
+        for arr in (fresh.data, fresh_f, gathered.data, gathered_f):
+            assert not arr.flags.writeable
+
+    def test_hybrid_second_arm_pays_only_its_misses(self):
+        # bald scores all n candidates; badge's MC rows are hits, its features are not
+        state = _state(n_passes=3)
+        spec = _spec("hybrid", params={"budgets": [2, 2]}, constituents=[_spec("bald"), _spec("badge")])
+        build_strategy(spec).select(state, _pool(state, 12), 4, (0,))
+        assert state.n_mc == 3 * 12
+        assert state.n_features == 12 - 2
+
+
+class TestCheckBudget:
+    """`check_budget(b, n)` fails exactly when some node would pick more
+    than its candidates; the counts follow each structure's routing."""
+
+    @pytest.mark.parametrize("spec,budget,n", [
+        (_spec("bald"), 3, 3),
+        # stage 1 picks round(4 * 3) = 12 of the pool, stage 2 3 of those 12
+        (_spec("series", params={"kappas": [4, 1]}, constituents=[_spec("k_centers"), _spec("bald")]), 3, 12),
+        # halves of ceil(n/2) and floor(n/2) candidates, 2 picks each
+        (_spec("parallel", constituents=[_spec("bald"), _spec("random")]), 4, 4),
+        # the second arm gets the n - 2 the first arm left, and its series stage picks 6
+        (_spec("hybrid", params={"budgets": [2, 2]}, constituents=[
+            _spec("bald"), _spec("series", params={"kappas": [3, 1]}, constituents=[_spec("k_centers"), _spec("bald")])
+        ]), 4, 8),
+        (_spec("feedback", constituents=[_spec("random"), _spec("series", params={"kappas": [4, 1]},
+                                                             constituents=[_spec("k_centers"), _spec("bald")])]), 2, 8),
+    ])
+    def test_smallest_candidate_count(self, spec, budget, n):
+        strategy = build_strategy(spec)
+        strategy.check_budget(budget, n)
+        with pytest.raises(ValueError, match="budget .* exceeds .* candidates"):
+            strategy.check_budget(budget, n - 1)
+
+
 class TestFeedbackWiring:
     def test_observe_loss_moves_the_balance(self):
         s = build_strategy(COMPOSITE_SPECS["feedback"])

@@ -49,6 +49,25 @@ def _bench_files():
     return {p: p.stat().st_mtime_ns for p in BENCH.rglob("*")}
 
 
+def _traced_sweep(tmp_path, config, jobs):
+    """Run `acqbench sweep` on `config` under the tracer in a fresh process;
+    returns the script's result. Checks that nothing under bench/ changed."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "ACQBENCH_JOBS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    before = _bench_files()
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path), str(jobs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _bench_files() == before
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_tracer_computes_every_per_layer_metric(tmp_path, jobs):
     config = {
@@ -62,20 +81,7 @@ def test_tracer_computes_every_per_layer_metric(tmp_path, jobs):
         "seeds": [0, 1],
         "output_dir": str(tmp_path / "out"),
     }
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    trace_dir = tmp_path / "trace"
-    trace_dir.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "ACQBENCH_JOBS"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    before = _bench_files()
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path), str(jobs)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert _bench_files() == before
+    result = _traced_sweep(tmp_path, config, jobs)
 
     assert result["code"] == 0
     metrics = result["metrics"]
@@ -111,3 +117,34 @@ def test_tracer_computes_every_per_layer_metric(tmp_path, jobs):
         "model.mc_predict": 4, "model.features": 8, "strategies.select": 12,
     }
     assert {name: result["calls"].get(name, 0) for name in expected} == expected
+
+
+def test_tracer_counts_computed_passes_of_overlapping_arms(tmp_path):
+    # hybrid[bald, badge]: badge's MC rows were computed by bald in the same
+    # round, so they are neither traced nor in the records. `_lost_spans` in
+    # bench/run.py applies this rule to the pool workload.
+    config = {
+        "dataset": {"kind": "grid", "params": {"cells_per_side": 3, "n_per_cell": 12, "seed": 1}},
+        "model": {"hidden": 8, "dropout": 0.2},
+        "train": {"lr": 0.1, "epochs": 3, "minibatch": 8},
+        "mc": {"n_passes": 3},
+        "al": {"M": 4, "T": 2, "b": 4},
+        "strategy": {"kind": "hybrid", "params": {"budgets": [2, 2]},
+                     "constituents": [{"kind": "bald"}, {"kind": "badge"}]},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    result = _traced_sweep(tmp_path, config, 1)
+    assert result["code"] == 0
+    metrics = result["metrics"]
+
+    from acqbench.simulator import read_record_csv
+
+    rows = [row for seed in (0, 1)
+            for row in read_record_csv(tmp_path / "out" / "hybrid_bald2_badge2" / str(seed) / "record.csv")]
+    assert metrics["strategies.n_infer_mc"] + metrics["strategies.n_infer_features"] == sum(
+        row["n_infer"] for row in rows
+    )
+    # round t's pool is every unlabeled training row: 81 - 4 - 4 (t - 1)
+    assert [row["n_infer"] for row in rows] == [3 * n + (n - 2) for n in (77, 73)] * 2
+    assert result["calls"]["model.mc_predict"] == result["calls"]["model.features"] == 4
