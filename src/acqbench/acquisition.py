@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _array, _integer, stream
+from .rng import _array, _integer, _number, stream
 
 # Byte budget for one block of pool-minus-labeled differences in k-centers.
 _BLOCK_BYTES = 4 << 20
@@ -129,8 +129,7 @@ def select_power(scores: np.ndarray, b: int, power: float, seed: int) -> np.ndar
     _check_budget(b, len(s))
     if s.min() < 0.0:
         raise ValueError("power selection requires nonnegative scores")
-    if power <= 0.0:
-        raise ValueError(f"power must be positive, got {power}")
+    power = _number(power, "power", gt=0)
     g = stream(seed)
     top = s.max()
     w = (s / top) ** power if top > 0.0 else np.zeros_like(s)

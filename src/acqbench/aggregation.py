@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import select_top_k
-from .rng import NS_ALTERNATE, _integer, stream
+from .rng import NS_ALTERNATE, _integer, _number, stream
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -61,13 +61,10 @@ class FeedbackState:
     n_window: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 0.5:
-            raise ValueError(f"eps must be in (0, 0.5), got {self.eps}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        _number(self.eps, "eps", gt=0, lt=0.5)
+        _number(self.lam, "lam", gt=0)
         _integer(self.n_window, "n_window", 1)
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+        _number(self.beta, "beta", gt=0, lt=1)
 
 
 def feedback_update(state: FeedbackState, new_loss: float) -> FeedbackState:
@@ -77,9 +74,7 @@ def feedback_update(state: FeedbackState, new_loss: float) -> FeedbackState:
     min-max scaled to [0, 1] (0 when the window is flat). The new balance
     is lam * beta * exp(trend) clipped to [eps, 1 - eps].
     """
-    if not math.isfinite(new_loss) or new_loss < 0.0:
-        raise ValueError(f"loss must be finite and >= 0, got {new_loss}")
-    losses = state.losses + (float(new_loss),)
+    losses = state.losses + (_number(new_loss, "loss", ge=0),)
     window = np.asarray(losses[-state.n_window :])
     averaged = np.cumsum(window) / np.arange(1, len(window) + 1)
     spread = averaged.max() - averaged.min()
@@ -115,8 +110,7 @@ class AnnealingSchedule:
     def __post_init__(self):
         for name in ("t_initial", "t_exploit", "t_explore"):
             _integer(getattr(self, name), name, 1)
-        if not (math.isfinite(self.rate) and self.rate >= 1.0):
-            raise ValueError(f"rate must be finite and >= 1, got {self.rate}")
+        _number(self.rate, "rate", ge=1)
 
 
 def _phases(sched: AnnealingSchedule):

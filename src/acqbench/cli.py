@@ -26,6 +26,7 @@ from .config import build_datasets, build_experiment, validate_config
 from .evaluation import (
     DEFAULT_CRITICAL,
     AccuracyTable,
+    _check_critical,
     accuracy_table,
     compute_heatmap,
     heatmap_csv_text,
@@ -69,17 +70,21 @@ def toy_config(output_dir: str, seeds: list[int], rounds: int = 20) -> dict:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return check_seeds(range(int(lo), int(hi) + 1))
-    return check_seeds([int(s) for s in text.split(",") if s.strip()])
+    lo, sep, hi = text.partition("..")
+    try:
+        seeds = range(int(lo), int(hi) + 1) if sep else [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"--seeds must be integers as a list '0,1,2' or a range '0..9', got {text!r}") from None
+    return check_seeds(seeds)
 
 
 def _parse_values(text: str) -> list[float]:
-    vals = [float(s) for s in text.split(",") if s.strip()]
+    try:
+        vals = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        vals = []
     if not vals:
-        raise ValueError(f"no values in {text!r}")
+        raise ValueError(f"--values must be comma-separated numbers, got {text!r}")
     return vals
 
 
@@ -207,6 +212,7 @@ def _write_heatmap(tables: list[AccuracyTable], out: Path, critical: float) -> N
 
 
 def _cmd_compare(args) -> int:
+    _check_critical(args.critical)
     root = Path(args.results_dir)
     out = Path(args.out or root)
     tables = _discover_tables(root)
@@ -262,6 +268,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_toy(args) -> int:
+    _check_critical(args.critical)
     seeds = _parse_seeds(args.seeds)
     cfg = toy_config(args.out, seeds, rounds=args.rounds)
     out = Path(cfg["output_dir"])

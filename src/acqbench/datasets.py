@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NS_SPLIT, _array, _integer, _labels, stream
+from .rng import NS_SPLIT, _array, _integer, _labels, _number, stream
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def make_grid_toy(
     """
     _integer(cells_per_side, "cells_per_side", 2)
     _integer(n_per_cell, "n_per_cell", 1)
-    if spread < 0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    spread = _number(spread, "spread", ge=0)
     g = stream(seed)
     mid = (cells_per_side - 1) / 2.0
     points, labels = [], []
@@ -77,8 +76,7 @@ def make_blobs(
     if len(np.unique(centers, axis=0)) != len(centers):
         raise ValueError("duplicate blob centers")
     _integer(n_per_class, "n_per_class", 1)
-    if spread < 0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    spread = _number(spread, "spread", ge=0)
     g = stream(seed)
     points = [c + g.normal(0.0, spread, size=(n_per_class, centers.shape[1])) for c in centers]
     labels = np.repeat(np.arange(len(centers), dtype=np.int64), n_per_class)
@@ -153,8 +151,7 @@ def split(ds: Dataset, test_fraction: float, seed: int = 0) -> tuple[Dataset, Da
 
     Both sides keep ascending original row order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    test_fraction = _number(test_fraction, "test_fraction", gt=0, lt=1)
     n = len(ds)
     n_train = math.ceil(n * (1.0 - test_fraction))
     if n_train < 1 or n_train >= n:

@@ -17,7 +17,7 @@ from html import escape
 import numpy as np
 
 from .fileio import csv_text
-from .rng import _array, _integer
+from .rng import _array, _integer, _number
 from .simulator import RunRecord
 
 DEFAULT_CRITICAL = 2.776
@@ -91,9 +91,7 @@ def t_score(a: np.ndarray, b: np.ndarray) -> float:
 def _check_critical(critical: float) -> float:
     """A negative critical value lets a tied round count as a win for both
     sides, and NaN lets nobody win, so only finite values >= 0 pass."""
-    if not (math.isfinite(critical) and critical >= 0.0):
-        raise ValueError(f"critical t value must be finite and >= 0, got {critical}")
-    return float(critical)
+    return _number(critical, "critical t value", ge=0)
 
 
 def winning_rate(a: AccuracyTable | np.ndarray, b: AccuracyTable | np.ndarray, critical: float = DEFAULT_CRITICAL) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import ProbabilityTensor
-from .rng import NS_MC, _array, _integer, _labels, stream
+from .rng import NS_MC, _array, _integer, _labels, _number, stream
 
 _WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -37,8 +37,7 @@ class ModelParams:
     b3: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        object.__setattr__(self, "dropout", _number(self.dropout, "dropout", ge=0, lt=1))
         for name in _WEIGHTS:
             arr = _array(getattr(self, name), name, 2 if name[0] == "w" else 1, frozen=True)
             object.__setattr__(self, name, arr)
@@ -70,8 +69,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        _number(self.lr, "lr", gt=0)
         _integer(self.epochs, "epochs", 0)
         _integer(self.minibatch, "minibatch", 1)
         _integer(self.seed, "train seed")
@@ -106,7 +104,7 @@ def init_model(input_dim: int, hidden: int, n_classes: int, dropout: float, seed
         return g.uniform(-limit, limit, size=(fan_in, fan_out))
 
     return ModelParams(
-        dropout=float(dropout),
+        dropout=dropout,
         w1=glorot(input_dim, hidden),
         b1=np.zeros(hidden),
         w2=glorot(hidden, hidden),

@@ -6,8 +6,8 @@ are independent; the same key always yields the same stream, so runs are
 bit-reproducible and individual draws can be replayed in isolation.
 
 It also owns the package's input rules: `_integer` (counts, budgets, seeds,
-stream keys), `_array` (float arrays) and `_labels` (class-label vectors),
-and `_read_only`, which freezes an array that no caller holds yet.
+stream keys), `_number` (float scalars), `_array` (float arrays), `_labels`
+(class-label vectors), and `_read_only`, which freezes an array no caller holds.
 """
 
 from __future__ import annotations
@@ -39,12 +39,24 @@ def _integer(value, where: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _json_integer(value, where: str) -> int:
+def _json_integer(value, where: str, low: int | None = None) -> int:
     """`_integer` at the config boundary, where JSON may write an integer
     as an integral float such as 2.0: that becomes an int first."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return _integer(value, where)
+    return _integer(value, where, low)
+
+
+def _number(value, where: str, ge: float | None = None, gt: float | None = None, lt: float | None = None) -> float:
+    """The one float-scalar rule: Python and numpy reals pass (as a float)
+    within the bounds given; bools, strings, NaN, +/-inf and values outside fail."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and np.isfinite(value)):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    if (ge is not None and value < ge) or (gt is not None and value <= gt) or (lt is not None and value >= lt):
+        bounds = " and ".join(f"{op} {b:g}" for op, b in ((">=", ge), (">", gt), ("<", lt)) if b is not None)
+        raise ValueError(f"{where} must be {bounds}, got {value}")
+    return float(value)
 
 
 def _array(value, where: str, ndim: int, frozen: bool = False) -> np.ndarray:

@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"initial_labeled + rounds * budget = {needed} exceeds training set of {len(self.train_ds)}"
             )
+        # every round builds these from the settings; building them once here fails a bad one now
+        mdl.init_model(self.train_ds.X.shape[1], self.hidden, self.train_ds.n_classes, self.dropout, 0)
+        mdl.TrainConfig(lr=self.lr, epochs=self.epochs, minibatch=self.minibatch)
+        mdl.MCConfig(n_passes=self.n_passes)
 
     @property
     def smallest_pool(self) -> int:

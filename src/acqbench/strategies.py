@@ -25,7 +25,6 @@ scoring in `n_mc` and feature extraction in `n_features`, exactly.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -44,7 +43,7 @@ from .aggregation import (
     parallel_ranked_select,
     random_alternate,
 )
-from .rng import _integer, _json_integer, _read_only, derive_seed, stream
+from .rng import _integer, _json_integer, _number, _read_only, derive_seed, stream
 
 
 class _Memo:
@@ -177,12 +176,6 @@ def _ascending(candidates: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(candidates, dtype=np.int64))
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
 SCORERS = {
     "entropy": acq.entropy_scores,
     "least_confident": acq.least_confident_scores,
@@ -211,9 +204,7 @@ def _top_k(kind: str) -> Leaf:
 
 
 def _power_bald_name(power: float) -> str:
-    if not power > 0.0:
-        raise ValueError(f"power_bald power must be > 0, got {power}")
-    return f"power_bald_p{power:g}"
+    return f"power_bald_p{_number(power, 'power_bald power', gt=0):g}"
 
 
 LEAVES: dict[str, Leaf] = {
@@ -343,9 +334,9 @@ class HybridStrategy(Strategy):
     def __init__(self, first: Strategy, second: Strategy, budgets):
         if len(budgets) != 2:
             raise ValueError("hybrid strategy requires params.budgets = [b_first, b_second]")
-        b1, b2 = (_json_integer(v, "hybrid budgets") for v in budgets)
-        if min(b1, b2) < 0 or b1 + b2 < 1:
-            raise ValueError(f"hybrid budgets must be >= 0 with a total >= 1, got ({b1}, {b2})")
+        b1, b2 = (_json_integer(v, "hybrid budgets", 0) for v in budgets)
+        if b1 + b2 < 1:
+            raise ValueError(f"hybrid budgets must total at least 1, got ({b1}, {b2})")
         super().__init__(f"hybrid_{first.name}{b1}_{second.name}{b2}", first, second)
         self.split = (b1, b2)
 
@@ -425,12 +416,11 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 def check_fields(raw, schema: dict, where: str) -> dict:
     """`raw` checked against `schema` (key -> default), defaults filled in.
 
-    An int default makes the value an integer (bools fail, integral floats
-    become ints); a float default a finite number (bools, strings, NaN and
-    +/-inf fail). A bare type (int, float, list, str, dict) marks a required
-    value of that type, and None a required value its owner checks; a {},
-    [] or str default fixes the type of an optional value. Raises ValueError
-    naming an unknown, missing or mistyped key.
+    An int default makes the value an integer (integral floats become ints),
+    a float default a number, by the rules in `rng`. A bare type (int, float,
+    list, str, dict) marks a required value of that type, and None a required
+    value its owner checks; a {}, [] or str default fixes the type of an
+    optional value. Raises ValueError naming an unknown, missing or mistyped key.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"'{where}' must be an object")

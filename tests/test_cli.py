@@ -10,7 +10,8 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from acqbench.cli import _parse_seeds, main, toy_config
+from acqbench import cli
+from acqbench.cli import _parse_seeds, _parse_values, main, toy_config
 from acqbench.config import build_experiment, validate_config
 
 
@@ -297,6 +298,22 @@ class TestParseSeeds:
     def test_whitespace(self):
         assert _parse_seeds(" 2..4 ") == [2, 3, 4]
 
+    @pytest.mark.parametrize("seeds", ["0..x", "1,a", "1.5"])
+    def test_unparsable_seeds_name_the_flag(self, seeds):
+        # int()'s own message named neither the flag nor the text
+        with pytest.raises(ValueError, match=f"^--seeds .*got {seeds!r}"):
+            _parse_seeds(seeds)
+
+
+class TestParseValues:
+    def test_list(self):
+        assert _parse_values("1, 2.5,") == [1.0, 2.5]
+
+    @pytest.mark.parametrize("values", ["1,x", ","])
+    def test_unparsable_values_name_the_flag(self, values):
+        with pytest.raises(ValueError, match=f"^--values .*got {values!r}"):
+            _parse_values(values)
+
 
 class TestRunCommand:
     def test_exit_zero_and_artifacts(self, tmp_path, capsys):
@@ -366,6 +383,21 @@ class TestSweepCommand:
         assert rc == 0
         dirs = sorted(p.name for p in (tmp_path / "out" / "entropy").iterdir())
         assert dirs == ["3", "4", "5"]
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate", "toy"])
+    @pytest.mark.parametrize("seeds", ["0..x", "1,a"])
+    def test_unparsable_seed_list_exits_one_naming_the_flag(self, tmp_path, capsys, command, seeds):
+        cfg = _base_config(tmp_path / "out")
+        cfg["strategy"] = {"kind": "annealing", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        config = ["--config", _write_config(tmp_path, cfg)]
+        args = {"sweep": config, "ablate": [*config, "--parameter", "rate", "--values", "2"],
+                "toy": ["--out", str(tmp_path / "out")]}[command]
+        rc = main([command, *args, "--seeds", seeds])
+        assert rc == 1
+        assert f"error: --seeds must be integers as a list '0,1,2' or a range '0..9', got {seeds!r}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "ablate"])
     @pytest.mark.parametrize("seeds", ["3..1", ","])
@@ -449,6 +481,11 @@ class TestCompareCommand:
         assert rc == 1
         assert "critical" in capsys.readouterr().err
         assert not (tmp_path / "h").exists()
+
+    def test_bad_critical_checked_before_the_tree_is_read(self, tmp_path, capsys):
+        rc = main(["compare", str(tmp_path / "missing"), "--critical", "nan"])
+        assert rc == 1
+        assert "critical t value must be a finite number, got nan" in capsys.readouterr().err
 
     def test_missing_tree_fails(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "nothing")])
@@ -581,6 +618,13 @@ class TestAblateCommand:
         )
         assert not (tmp_path / "abl").exists()
 
+    def test_unparsable_values_exit_one_naming_the_flag(self, tmp_path, capsys):
+        rc = main(["ablate", "--config", self._series_config(tmp_path),
+                   "--parameter", "kappa", "--values", "1,x"])
+        assert rc == 1
+        assert "error: --values must be comma-separated numbers, got '1,x'" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
     def test_bad_kappa_names_kappas(self, tmp_path, capsys):
         rc = main(["ablate", "--config", self._series_config(tmp_path),
                    "--parameter", "kappa", "--values", "0.5"])
@@ -631,6 +675,19 @@ class TestToyCommand:
         for row in rows[1:]:
             for v in row[1:]:
                 assert 0.0 < float(v) <= 1.0
+
+    @pytest.mark.parametrize("critical", ["nan", "-1"])
+    def test_bad_critical_exits_before_any_run(self, tmp_path, capsys, monkeypatch, critical):
+        # it used to train every strategy for every seed before the heatmap refused it
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before --critical was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        out = tmp_path / "toy"
+        rc = main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "2", "--critical", critical])
+        assert rc == 1
+        assert "critical t value must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_is_a_valid_config(self):
         cfg = toy_config("/tmp/t", [0, 1], rounds=20)

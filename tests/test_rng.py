@@ -1,5 +1,5 @@
-"""Tests for keyed random streams, the package's integer, array and label
-rules, and atomic artifact writes."""
+"""Tests for keyed random streams, the package's integer, number, array and
+label rules, and atomic artifact writes."""
 
 import re
 from pathlib import Path
@@ -17,15 +17,21 @@ from acqbench.acquisition import (
     select_power,
     select_top_k,
 )
-from acqbench.aggregation import AnnealingSchedule, FeedbackState, annealing_phase, random_alternate
+from acqbench.aggregation import (
+    AnnealingSchedule,
+    FeedbackState,
+    annealing_phase,
+    feedback_update,
+    random_alternate,
+)
 from acqbench.config import validate_config
-from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy
+from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from acqbench.evaluation import AccuracyTable, WinningRateMatrix, t_score, winning_rate
 from acqbench.fileio import atomic_write_text
 from acqbench.model import MCConfig, ModelParams, TrainConfig, init_model, predict_proba, train
 from acqbench.rng import _array, derive_seed, stream
 from acqbench.simulator import ExperimentConfig, check_seeds, sweep
-from acqbench.strategies import build_strategy, check_fields
+from acqbench.strategies import LeafStrategy, build_strategy, check_fields
 
 
 class TestStream:
@@ -213,6 +219,69 @@ class TestConfigBoundary:
             _experiment(initial_labeled=2.0)
 
 
+# --- the number rule at every site that takes a float scalar ---
+
+_WEIGHTS_OF = init_model(2, 4, 2, 0.0, 0).weights
+
+
+def _series(kappa):
+    return build_strategy({"kind": "series", "params": {"kappas": [kappa, 1]},
+                           "constituents": [{"kind": "entropy"}, {"kind": "bald"}]})
+
+
+# (the field its error names, a call taking the value, a value the site
+# accepts, and a value outside its range with the range's wording, or None)
+NUMBER_SITES = {
+    "ModelParams.dropout": ("dropout", lambda v: ModelParams(v, *_WEIGHTS_OF), 0, (1.0, ">= 0 and < 1")),
+    "init_model.dropout": ("dropout", lambda v: init_model(2, 4, 2, v, 0), 0, (-0.1, ">= 0 and < 1")),
+    "lr": ("lr", lambda v: TrainConfig(lr=v), 1, (0, "> 0")),
+    "eps": ("eps", lambda v: FeedbackState(eps=v), 0.2, (0.7, "> 0 and < 0.5")),
+    "lam": ("lam", lambda v: FeedbackState(lam=v), 1, (0, "> 0")),
+    "beta": ("beta", lambda v: FeedbackState(beta=v), 0.5, (1.0, "> 0 and < 1")),
+    "feedback_update": ("loss", lambda v: feedback_update(FeedbackState(), v), 1, (-0.5, ">= 0")),
+    "rate": ("rate", lambda v: AnnealingSchedule(rate=v), 2, (0.5, ">= 1")),
+    "make_grid_toy.spread": ("spread", lambda v: make_grid_toy(n_per_cell=1, spread=v), 1, (-0.1, ">= 0")),
+    "make_blobs.spread": ("spread", lambda v: make_blobs(2, [[0.0], [1.0]], v), 1, (-0.1, ">= 0")),
+    "test_fraction": ("test_fraction", lambda v: split(_TINY, v), 0.25, (1.0, "> 0 and < 1")),
+    "select_power": ("power", lambda v: select_power(np.arange(3.0), 1, v, 0), 2, (0, "> 0")),
+    "power_bald": ("power_bald power", lambda v: LeafStrategy("power_bald", power=v), 2, (-1, "> 0")),
+    "winning_rate": ("critical t value", lambda v: winning_rate(np.full((2, 2), 0.7), np.full((2, 2), 0.5), v),
+                     2, (-1, ">= 0")),
+    "series.kappas": ("series kappas", _series, 2, None),
+    "check_fields": ("'model.dropout'", lambda v: check_fields({"dropout": v}, {"dropout": 0.5}, "model"), 1, None),
+}
+_NOT_NUMBERS = [float("nan"), float("inf"), -float("inf"), True, "0.1"]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("value", _NOT_NUMBERS)
+    @pytest.mark.parametrize("site", NUMBER_SITES)
+    def test_non_numbers_rejected_by_name(self, site, value):
+        field, call, _, _ = NUMBER_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("site", NUMBER_SITES)
+    def test_numpy_float_accepted(self, site):
+        _, call, good, _ = NUMBER_SITES[site]
+        call(np.float64(good))
+
+    @pytest.mark.parametrize("site", [s for s, row in NUMBER_SITES.items() if isinstance(row[2], int)])
+    def test_numpy_integer_accepted(self, site):
+        _, call, good, _ = NUMBER_SITES[site]
+        call(np.int64(good))
+
+    @pytest.mark.parametrize("site", [s for s, row in NUMBER_SITES.items() if row[3]])
+    def test_out_of_range_names_the_bound(self, site):
+        field, call, _, (bad, bound) = NUMBER_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {bound}, got {bad}")):
+            call(bad)
+
+    def test_dropout_kept_as_a_float(self):
+        assert type(ModelParams(np.float64(0.5), *_WEIGHTS_OF).dropout) is float
+        assert type(init_model(2, 4, 2, 0, 0).dropout) is float
+
+
 # --- the array and label rules at every site that takes a float array or labels ---
 
 _F = np.arange(6.0).reshape(3, 2)
@@ -285,6 +354,15 @@ class TestArrayRule:
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"
 
 
+def _outside_rng(pattern: re.Pattern) -> list[str]:
+    """Every match of `pattern` in the package's modules other than rng.py."""
+    return [
+        f"{path.name}: {match.group(0).strip()}"
+        for path in sorted(_PACKAGE.rglob("*.py")) if path.name != "rng.py"
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+    ]
+
+
 class TestRuleOwners:
     def test_only_rng_checks_finiteness_or_freezes_arrays(self):
         # the array rule has one owner; a second copy of it must not regrow
@@ -295,3 +373,13 @@ class TestRuleOwners:
             for line in path.read_text(encoding="utf-8").splitlines() if pattern.search(line)
         ]
         assert offenders == []
+
+    def test_only_rng_checks_scalar_finiteness(self):
+        # the number rule has one owner too
+        assert _outside_rng(re.compile(r"\bmath\.isfinite\b")) == []
+
+    def test_only_rng_words_a_range_error(self):
+        # a hand-written range check raises "x must be in (0, 1)", "must be
+        # positive" or "must be >= 0"; the rules in rng word every such error
+        pattern = re.compile(r"""raise \w+\(\s*f?["'][^"'\n]*\bmust be (?:finite|positive|nonnegative|in [\[(]|[<>])""")
+        assert _outside_rng(pattern) == []

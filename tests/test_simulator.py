@@ -358,3 +358,17 @@ class TestConfigValidation:
         spec = {"kind": "parallel", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
         with pytest.raises(ValueError, match="even budget"):
             run_experiment(_config(spec, budget=3))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_passes", 0), ("lr", float("inf")), ("dropout", 1.5), ("hidden", 0), ("epochs", -1), ("minibatch", 0)],
+    )
+    def test_round_settings_checked_when_built(self, monkeypatch, field, value):
+        # each round builds its model, train and MC settings from these; a bad
+        # one used to pass here, train round 0, and fail later or elsewhere
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the settings were checked")
+
+        monkeypatch.setattr(mdl, "train", no_training)
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            _config({"kind": "random"}, **{field: value})
