@@ -270,6 +270,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_toy(args) -> int:
     _check_critical(args.critical)
     seeds = _parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        raise ValueError(f"--seeds must name at least 2 seeds for the heatmap's paired t-test, got {len(seeds)}")
     cfg = toy_config(args.out, seeds, rounds=args.rounds)
     out = Path(cfg["output_dir"])
     train_ds, _ = build_datasets(cfg["dataset"])

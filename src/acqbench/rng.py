@@ -6,11 +6,14 @@ are independent; the same key always yields the same stream, so runs are
 bit-reproducible and individual draws can be replayed in isolation.
 
 It also owns the package's input rules: `_integer` (counts, budgets, seeds,
-stream keys), `_number` (float scalars), `_array` (float arrays), `_labels`
+stream keys), `_key` (the signed 64-bit range of stream keys and run seeds),
+`_number` (float scalars), `_array` (float arrays), `_labels`
 (class-label vectors), and `_read_only`, which freezes an array no caller holds.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -25,8 +28,6 @@ NS_ALTERNATE = 7
 NS_SPLIT = 8
 NS_DATASET = 9
 
-_MASK64 = (1 << 64) - 1
-
 
 def _integer(value, where: str, low: int | None = None) -> int:
     """The one integer rule, for counts, budgets, seeds and stream keys: Python
@@ -36,6 +37,14 @@ def _integer(value, where: str, low: int | None = None) -> int:
         raise ValueError(f"{where} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{where} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _key(value, where: str) -> int:
+    """The one key rule, for stream keys and run seeds: a signed 64-bit
+    integer, so `stream`'s 64-bit words never alias two keys."""
+    if not -(1 << 63) <= _integer(value, where) < 1 << 63:
+        raise ValueError(f"{where} must be >= -2**63 and < 2**63, got {value}")
     return int(value)
 
 
@@ -51,7 +60,7 @@ def _number(value, where: str, ge: float | None = None, gt: float | None = None,
     """The one float-scalar rule: Python and numpy reals pass (as a float)
     within the bounds given; bools, strings, NaN, +/-inf and values outside fail."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and np.isfinite(value)):
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
         raise ValueError(f"{where} must be a finite number, got {value!r}")
     if (ge is not None and value < ge) or (gt is not None and value <= gt) or (lt is not None and value >= lt):
         bounds = " and ".join(f"{op} {b:g}" for op, b in ((">=", ge), (">", gt), ("<", lt)) if b is not None)
@@ -103,7 +112,7 @@ def stream(*key: int) -> np.random.Generator:
     """
     if not key:
         raise ValueError("stream key must not be empty")
-    entropy = [_integer(k, "stream key") & _MASK64 for k in key]
+    entropy = [_key(k, "stream key") % (1 << 64) for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

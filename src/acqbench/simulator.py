@@ -40,6 +40,7 @@ from .rng import (
     NS_TRAIN,
     _integer,
     _json_integer,
+    _key,
     derive_seed,
     stream,
 )
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ValueError("train and test class counts differ")
         for name in ("initial_labeled", "rounds", "budget"):
             _integer(getattr(self, name), name, 1)
-        _integer(self.seed, "seed")
+        _key(self.seed, "seed")
         if _integer(self.pool_size, "pool_size") < self.budget:
             raise ValueError(f"pool_size {self.pool_size} smaller than budget {self.budget}")
         needed = self.initial_labeled + self.rounds * self.budget
@@ -247,8 +248,8 @@ def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:
 
 def check_seeds(seeds) -> list[int]:
     """A run seed list from any iterable of Python or numpy integers, or
-    JSON's integral floats: nonempty, no bools, no duplicates."""
-    seeds = [_json_integer(s, "'seeds' entries") for s in seeds]
+    JSON's integral floats: nonempty, no bools, no duplicates, each a key."""
+    seeds = [_key(_json_integer(s, "'seeds' entries"), "'seeds' entries") for s in seeds]
     if not seeds:
         raise ValueError("'seeds' must name at least one seed")
     if len(set(seeds)) != len(seeds):

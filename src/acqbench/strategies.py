@@ -154,21 +154,16 @@ class Strategy:
         for sub in self.constituents:
             sub.observe_loss(loss)
 
-    def budgets(self, budget: int) -> list[int]:
-        """Each constituent's budget when this node picks `budget`; the
-        structure's budget rule, raising ValueError when it is broken."""
-        return [budget] * len(self.constituents)
-
-    def counts(self, n: int, budgets: list[int]) -> list[int]:
-        """Each constituent's candidate count when this node gets `n`
-        candidates and hands out `budgets`."""
-        return [n] * len(self.constituents)
+    def plan(self, n: int, budget: int) -> list[tuple[int, int]]:
+        """(candidates, picks) for each constituent when this node picks
+        `budget` of `n` candidates: the structure's one routing rule, read by
+        `check_budget` and `select`, raising ValueError when it is broken."""
+        return [(n, budget)] * len(self.constituents)
 
     def check_budget(self, budget: int, n: int) -> None:
-        """Apply `budgets` and `counts` down the whole tree, before any
-        training; `n` is the root's smallest round pool."""
-        budgets = self.budgets(budget)
-        for sub, b, m in zip(self.constituents, budgets, self.counts(n, budgets)):
+        """Walk `plan` down the whole tree, before any training; `n` is the
+        root's smallest round pool."""
+        for sub, (m, b) in zip(self.constituents, self.plan(n, budget)):
             sub.check_budget(b, m)
 
 
@@ -268,16 +263,14 @@ class SeriesStrategy(Strategy):
         shrink = "x".join(f"{k:g}" for k in self.kappas)
         super().__init__("series_" + "_".join(s.name for s in stages) + f"_k{shrink}", *stages)
 
-    def budgets(self, budget):
+    def plan(self, n, budget):
         budget = _integer(budget, "series budget", 1)
-        return [int(round(k * budget)) for k in self.kappas]
-
-    def counts(self, n, budgets):
-        return [n, *budgets[:-1]]
+        picks = [int(round(k * budget)) for k in self.kappas]
+        return list(zip([n, *picks[:-1]], picks))
 
     def select(self, state, candidates, budget, seed):
         cands = _ascending(candidates)
-        for i, (stage, b) in enumerate(zip(self.constituents, self.budgets(budget))):
+        for i, (stage, (_, b)) in enumerate(zip(self.constituents, self.plan(len(cands), budget))):
             cands = stage.select(state, cands, b, (*seed, i))
         return cands
 
@@ -292,23 +285,18 @@ class ParallelStrategy(Strategy):
     def __init__(self, first: Strategy, second: Strategy):
         super().__init__(f"parallel_{first.name}_{second.name}", first, second)
 
-    def budgets(self, budget):
+    def plan(self, n, budget):
         if budget % 2 != 0:
             raise ValueError(f"parallel selection needs an even budget, got {budget}")
-        return [budget // 2] * 2
-
-    def counts(self, n, budgets):
-        return [(n + 1) // 2, n // 2]
+        return [((n + 1) // 2, budget // 2), (n // 2, budget // 2)]
 
     def select(self, state, candidates, budget, seed):
         pool = _ascending(candidates)
         perm = stream(*seed, 0).permutation(len(pool))
-        cut = (len(pool) + 1) // 2
-        halves = (pool[perm[:cut]], pool[perm[cut:]])
-        return np.concatenate([
-            sub.select(state, half, b, (*seed, i))
-            for i, (sub, half, b) in enumerate(zip(self.constituents, halves, self.budgets(budget)), start=1)
-        ])
+        (cut, b1), (_, b2) = self.plan(len(pool), budget)
+        first, second = self.constituents
+        return np.concatenate([first.select(state, pool[perm[:cut]], b1, (*seed, 1)),
+                               second.select(state, pool[perm[cut:]], b2, (*seed, 2))])
 
 
 class ParallelRankedStrategy(Strategy):
@@ -340,17 +328,15 @@ class HybridStrategy(Strategy):
         super().__init__(f"hybrid_{first.name}{b1}_{second.name}{b2}", first, second)
         self.split = (b1, b2)
 
-    def budgets(self, budget):
-        if budget != sum(self.split):
-            raise ValueError(f"hybrid budgets {self.split[0]}+{self.split[1]} != round budget {budget}")
-        return list(self.split)
-
-    def counts(self, n, budgets):
-        return [n, n - budgets[0]]
+    def plan(self, n, budget):
+        b1, b2 = self.split
+        if budget != b1 + b2:
+            raise ValueError(f"hybrid budgets {b1}+{b2} != round budget {budget}")
+        return [(n, b1), (n - b1, b2)]
 
     def select(self, state, candidates, budget, seed):
         pool = _ascending(candidates)
-        (first, second), (b1, b2) = self.constituents, self.budgets(budget)
+        (first, second), ((_, b1), (_, b2)) = self.constituents, self.plan(len(pool), budget)
         picked = first.select(state, pool, b1, (*seed, 1)) if b1 else pool[:0]
         rest = pool[~np.isin(pool, picked)]
         return np.concatenate([picked, second.select(state, rest, b2, (*seed, 2)) if b2 else rest[:0]])

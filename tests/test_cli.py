@@ -343,6 +343,15 @@ class TestRunCommand:
         assert rc != 0
         assert "JSON" in capsys.readouterr().err
 
+    def test_int_too_large_for_a_float_exits_one_naming_the_key(self, tmp_path, capsys):
+        # json reads this as a Python int that no float holds
+        cfg = _base_config(tmp_path / "out")
+        cfg["train"]["lr"] = 10**400
+        rc = main(["run", "--config", _write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert "'train.lr' must be a finite number, got 1000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc != 0
@@ -408,6 +417,23 @@ class TestSweepCommand:
         rc = main([command, "--config", _write_config(tmp_path, cfg), "--seeds", seeds, *extra])
         assert rc == 1
         assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flags,seeds", [
+        ("sweep", [], [0, 2**64]),
+        ("sweep", ["--seeds", f"0,{2**64}"], [0, 1]),
+        ("run", ["--seed", str(2**64)], [0, 1]),
+    ])
+    def test_seed_outside_64_bits_exits_before_any_run(self, tmp_path, capsys, monkeypatch, command, flags, seeds):
+        # stream keys are masked to 64 bits, so seed 2**64 would repeat seed 0's run
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the seeds were checked")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        cfg = _base_config(tmp_path / "out") | {"seeds": seeds}
+        rc = main([command, "--config", _write_config(tmp_path, cfg), *flags])
+        assert rc == 1
+        assert f"must be >= -2**63 and < 2**63, got {2**64}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["../x", "a/b", ".", "a<b"])
@@ -687,6 +713,19 @@ class TestToyCommand:
         rc = main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "2", "--critical", critical])
         assert rc == 1
         assert "critical t value must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["3", "4..4"])
+    def test_one_seed_exits_before_any_run(self, tmp_path, capsys, monkeypatch, seeds):
+        # it used to train every strategy, then the heatmap's t-test refused one pair
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the seed count was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        out = tmp_path / "toy"
+        rc = main(["toy", "--out", str(out), "--seeds", seeds, "--rounds", "1"])
+        assert rc == 1
+        assert "error: --seeds must name at least 2 seeds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_is_a_valid_config(self):

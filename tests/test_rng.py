@@ -150,7 +150,7 @@ SITES = {
     "label_column": ("label_column", lambda v: load_csv("points.csv", v), 2),
     "select_top_k.budget": ("budget", lambda v: select_top_k(np.arange(3.0), v), 2),
     "AccuracyTable.seeds": ("seeds", lambda v: AccuracyTable("a", (v,), [[0.5]]), 3),
-    "series.budget": ("series budget", lambda v: build_strategy(_SERIES).budgets(v), 3),
+    "series.budget": ("series budget", lambda v: build_strategy(_SERIES).plan(10, v), 3),
     "hybrid.budgets": ("hybrid budgets", _hybrid, 2),
     "check_fields": ("'model.hidden'", lambda v: check_fields({"hidden": v}, {"hidden": 32}, "model"), 4),
 }
@@ -219,6 +219,44 @@ class TestConfigBoundary:
             _experiment(initial_labeled=2.0)
 
 
+# --- the key rule at every site that takes a stream key or run seed ---
+
+# (the field its error names, a call taking the key)
+KEY_SITES = {
+    "stream": ("stream key", lambda v: stream(3, v)),
+    "check_seeds": ("'seeds' entries", lambda v: check_seeds([1, v])),
+    "ExperimentConfig.seed": ("seed", lambda v: _experiment(seed=v)),
+    "config seeds": ("'seeds' entries", lambda v: validate_config(_hybrid_config("out") | {"seeds": [1, v]})),
+}
+
+
+class TestKeyRule:
+    """A key is a signed 64-bit integer: `stream` masks keys to 64 bits, so
+    a wider one would draw the same stream as some key in range."""
+
+    @pytest.mark.parametrize("value", [2**63, 2**64, 2**64 - 1, -(2**63) - 1])
+    @pytest.mark.parametrize("site", KEY_SITES)
+    def test_keys_outside_64_bits_rejected_by_name(self, site, value):
+        field, call = KEY_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be >= -2**63 and < 2**63, got {value}")):
+            call(value)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63), np.int64(-(2**63)), np.uint64(2**63 - 1)])
+    @pytest.mark.parametrize("site", KEY_SITES)
+    def test_64_bit_edges_accepted(self, site, value):
+        KEY_SITES[site][1](value)
+
+    def test_aliasing_seeds_are_no_longer_paired(self):
+        # stream(0) drew the same as stream(2**64), so these two "seeds" were one run
+        with pytest.raises(ValueError, match="'seeds' entries must be >= -2"):
+            check_seeds([0, 2**64])
+
+    def test_draws_in_range_unchanged(self):
+        for key, word in [(-1, 2**64 - 1), (-(2**63), 2**63), (2**63 - 1, 2**63 - 1)]:
+            expected = np.random.default_rng(np.random.SeedSequence([7, word])).random(4)
+            np.testing.assert_array_equal(stream(7, key).random(4), expected)
+
+
 # --- the number rule at every site that takes a float scalar ---
 
 _WEIGHTS_OF = init_model(2, 4, 2, 0.0, 0).weights
@@ -276,6 +314,14 @@ class TestNumberRule:
         field, call, _, (bad, bound) = NUMBER_SITES[site]
         with pytest.raises(ValueError, match=re.escape(f"{field} must be {bound}, got {bad}")):
             call(bad)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400])
+    @pytest.mark.parametrize("site", NUMBER_SITES)
+    def test_ints_too_large_for_a_float_rejected_by_name(self, site, value):
+        # np.isfinite raised a TypeError on these, which no CLI command catches
+        field, call, _, _ = NUMBER_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number, got {value!r}")):
+            call(value)
 
     def test_dropout_kept_as_a_float(self):
         assert type(ModelParams(np.float64(0.5), *_WEIGHTS_OF).dropout) is float
