@@ -186,9 +186,7 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     distinct squares that round to one root still tie to the lowest position.
     """
     pool = _array(pool_features, "pool features", 2)
-    labeled = _array(labeled_features, "labeled features", 2) if len(labeled_features) else None
-    if labeled is not None and labeled.shape[1] != pool.shape[1]:
-        raise ValueError("pool and labeled feature widths differ")
+    labeled = _array(labeled_features, "labeled features", (None, pool.shape[1])) if len(labeled_features) else None
     _check_budget(b, len(pool))
 
     pool_sq = (pool**2).sum(axis=1)
@@ -218,9 +216,7 @@ def gradient_embeddings(t: ProbabilityTensor, f: np.ndarray) -> np.ndarray:
     with the feature vector, giving width n_classes * feature_dim. A row is
     all zero exactly when the MC-mean is already one-hot.
     """
-    feats = _array(f, "features", 2)
-    if feats.shape[0] != t.n:
-        raise ValueError(f"feature rows {feats.shape[0]} != tensor candidates {t.n}")
+    feats = _array(f, "features", (t.n, None))
     mean = t.mean()
     resid = mean.copy()
     resid[np.arange(t.n), mean.argmax(axis=1)] -= 1.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import select_top_k
-from .rng import NS_ALTERNATE, _integer, _number, stream
+from .rng import NS_ALTERNATE, _array, _integer, _number, _shape, stream
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -34,8 +34,8 @@ def parallel_ranked_select(s1: np.ndarray, s2: np.ndarray, b: int) -> np.ndarray
     to the lower position. Output is ordered by ascending rank sum, then
     position.
     """
-    if np.shape(s1) != np.shape(s2):
-        raise ValueError(f"score vectors must have equal shapes, got {np.shape(s1)} and {np.shape(s2)}")
+    s1 = _array(s1, "score vector s1", 1)
+    s2 = _array(s2, "score vector s2", s1.shape)
     # a position's 0-based rank is where select_top_k's full order puts it
     r1, r2 = (np.argsort(select_top_k(s, np.size(s))) for s in (s1, s2))
     return select_top_k(-(r1 + r2), b)
@@ -145,8 +145,7 @@ def random_alternate(seed: int, t: int) -> str:
 def check_selection(candidates: np.ndarray, batch: np.ndarray, b: int) -> np.ndarray:
     """Validate that a selector output is b distinct members of candidates."""
     batch = np.asarray(batch, dtype=np.int64)
-    if batch.shape != (b,):
-        raise ValueError(f"expected batch of {b}, got shape {batch.shape}")
+    _shape(batch, "batch", (b,))
     if len(np.unique(batch)) != len(batch):
         raise ValueError("batch contains duplicates")
     if not np.all(np.isin(batch, candidates)):

@@ -34,6 +34,7 @@ from .evaluation import (
     table_from_runs,
 )
 from .fileio import atomic_write_text, csv_text
+from .rng import _integer
 from .simulator import RunRecord, check_seeds, read_record_csv, sweep, write_record
 from .strategies import build_strategy
 
@@ -272,7 +273,7 @@ def _cmd_toy(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if len(seeds) < 2:
         raise ValueError(f"--seeds must name at least 2 seeds for the heatmap's paired t-test, got {len(seeds)}")
-    cfg = toy_config(args.out, seeds, rounds=args.rounds)
+    cfg = toy_config(args.out, seeds, rounds=_integer(args.rounds, "--rounds", 1))
     out = Path(cfg["output_dir"])
     train_ds, _ = build_datasets(cfg["dataset"])
 

@@ -72,7 +72,7 @@ def make_blobs(
     """Isotropic Gaussian blob per center row; class = center row index."""
     centers = _array(centers, "centers", 2)
     if len(centers) < 2:
-        raise ValueError(f"centers must be [C >= 2, d], got shape {centers.shape}")
+        raise ValueError(f"centers must have at least 2 rows, got {len(centers)}")
     if len(np.unique(centers, axis=0)) != len(centers):
         raise ValueError("duplicate blob centers")
     _integer(n_per_class, "n_per_class", 1)

@@ -32,12 +32,10 @@ class AccuracyTable:
     data: np.ndarray
 
     def __post_init__(self):
-        d = _array(self.data, f"{self.name}: accuracies", 2, frozen=True)
-        if d.shape[0] < 1 or d.shape[1] < 1:
-            raise ValueError(f"data must be [rounds, seeds], got shape {d.shape}")
         seeds = tuple(_integer(s, f"{self.name}: seeds entries") for s in self.seeds)
-        if d.shape[1] != len(seeds):
-            raise ValueError(f"{d.shape[1]} columns but {len(seeds)} seeds")
+        d = _array(self.data, f"{self.name}: accuracies", (None, len(seeds)), frozen=True)
+        if d.size == 0:
+            raise ValueError(f"{self.name}: accuracies need at least one round and one seed")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"{self.name}: duplicate seeds {list(seeds)}")
         object.__setattr__(self, "data", d)
@@ -75,9 +73,8 @@ def t_score(a: np.ndarray, b: np.ndarray) -> float:
     (a constant nonzero gap is infinitely significant) and to 0 when the
     runs are identical.
     """
-    a, b = _array(a, "paired samples a", 1), _array(b, "paired samples b", 1)
-    if a.shape != b.shape:
-        raise ValueError(f"paired samples must be equal-length, got {a.shape} and {b.shape}")
+    a = _array(a, "paired samples a", 1)
+    b = _array(b, "paired samples b", a.shape)
     if len(a) < 2:
         raise ValueError(f"need at least 2 pairs, got {len(a)}")
     d = a - b
@@ -100,9 +97,8 @@ def winning_rate(a: AccuracyTable | np.ndarray, b: AccuracyTable | np.ndarray, c
     critical = _check_critical(critical)
     if isinstance(a, AccuracyTable) and isinstance(b, AccuracyTable) and a.seeds != b.seeds:
         raise ValueError(f"table {b.name} seeds {b.seeds} != {a.seeds} (pairing broken)")
-    da, db = (_array(getattr(t, "data", t), "accuracy table", 2) for t in (a, b))
-    if da.shape != db.shape:
-        raise ValueError(f"tables must be congruent [rounds, seeds], got {da.shape} and {db.shape}")
+    da = _array(getattr(a, "data", a), "accuracy table a", 2)
+    db = _array(getattr(b, "data", b), "accuracy table b", da.shape)
     wins = sum(1 for r in range(da.shape[0]) if t_score(da[r], db[r]) > critical)
     return wins / da.shape[0]
 
@@ -116,10 +112,8 @@ class WinningRateMatrix:
     critical: float
 
     def __post_init__(self):
-        m = _array(self.matrix, "winning rates", 2, frozen=True)
         k = len(self.names)
-        if m.shape != (k, k):
-            raise ValueError(f"matrix shape {m.shape} does not match {k} names")
+        m = _array(self.matrix, "winning rates", (k, k), frozen=True)
         if len(set(self.names)) != k:
             raise ValueError(f"duplicate strategy names {self.names}")
         object.__setattr__(self, "critical", _check_critical(self.critical))
@@ -138,10 +132,8 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
     """Pairwise winning rates for congruent, seed-paired accuracy tables."""
     if not tables:
         raise ValueError("no tables")
-    ref = tables[0]
     for t in tables[1:]:
-        if t.data.shape != ref.data.shape:
-            raise ValueError(f"table {t.name} shape {t.data.shape} != {ref.data.shape}")
+        _array(t.data, f"table {t.name}", tables[0].data.shape)
     k = len(tables)
     m = np.zeros((k, k))
     for i in range(k):

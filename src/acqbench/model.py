@@ -26,7 +26,7 @@ _WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 @dataclass(frozen=True)
 class ModelParams:
     """Weights and architecture of the classifier. Immutable: holds
-    read-only float64 copies of the arrays it is given, `w*` 2-D, `b*` 1-D."""
+    read-only float64 copies of the arrays it is given, whose layers chain."""
 
     dropout: float
     w1: np.ndarray
@@ -39,8 +39,11 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "dropout", _number(self.dropout, "dropout", ge=0, lt=1))
         for name in _WEIGHTS:
-            arr = _array(getattr(self, name), name, 2 if name[0] == "w" else 1, frozen=True)
-            object.__setattr__(self, name, arr)
+            # the layers chain: w1 fixes the hidden width h, w3 the class count C
+            h = None if name == "w1" else self.hidden
+            c = self.n_classes if name == "b3" else None
+            shape = {"w1": 2, "b1": (h,), "w2": (h, h), "b2": (h,), "w3": (h, None), "b3": (c,)}[name]
+            object.__setattr__(self, name, _array(getattr(self, name), name, shape, frozen=True))
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -178,9 +181,7 @@ def _backprop(w: tuple[np.ndarray, ...], grads: tuple[np.ndarray, ...], X: np.nd
 def _check_batch(p: ModelParams, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Validate a batch against the model; returns X as float64 and y as
     int64 (None when not given)."""
-    X = _array(X, "input features", 2)
-    if X.shape[1] != p.input_dim:
-        raise ValueError(f"inputs must be [n, {p.input_dim}], got shape {X.shape}")
+    X = _array(X, "input features", (None, p.input_dim))
     if X.shape[0] == 0:
         raise ValueError("empty input batch")
     return X, None if y is None else _labels(y, len(X), p.n_classes)

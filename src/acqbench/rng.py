@@ -7,8 +7,9 @@ bit-reproducible and individual draws can be replayed in isolation.
 
 It also owns the package's input rules: `_integer` (counts, budgets, seeds,
 stream keys), `_key` (the signed 64-bit range of stream keys and run seeds),
-`_number` (float scalars), `_array` (float arrays), `_labels`
-(class-label vectors), and `_read_only`, which freezes an array no caller holds.
+`_number` (float scalars), `_array` (float arrays), `_shape` (the axis lengths
+`_array`, `_labels` and a selection check name), `_labels` (class-label
+vectors), and `_read_only`, which freezes an array no caller holds.
 """
 
 from __future__ import annotations
@@ -68,17 +69,25 @@ def _number(value, where: str, ge: float | None = None, gt: float | None = None,
     return float(value)
 
 
-def _array(value, where: str, ndim: int, frozen: bool = False) -> np.ndarray:
-    """The one float-array rule: `value` as float64 with `ndim` axes and
-    every entry finite, else a ValueError naming `where`. A view when the
+def _array(value, where: str, shape: int | tuple, frozen: bool = False) -> np.ndarray:
+    """The one float-array rule: `value` as float64 of `shape` (see `_shape`)
+    and every entry finite, else a ValueError naming `where`. A view when the
     input already fits; `frozen=True` gives a read-only copy for a frozen
     dataclass to keep, so the caller's array stays writeable and unshared."""
     a = np.array(value, dtype=np.float64) if frozen else np.asarray(value, dtype=np.float64)
-    if a.ndim != ndim:
-        raise ValueError(f"{where} must be {ndim}-D, got shape {a.shape}")
+    _shape(a, where, shape)
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite {where}")
     return _read_only(a) if frozen else a
+
+
+def _shape(a: np.ndarray, where: str, shape: int | tuple) -> None:
+    """The one shape rule: `shape` has one entry per axis, an int fixing that
+    axis's length and None leaving it free; an int n is n free axes."""
+    shape = (None,) * shape if isinstance(shape, int) else tuple(shape)
+    if a.ndim != len(shape) or any(want is not None and want != got for want, got in zip(shape, a.shape)):
+        dims = ", ".join("*" if want is None else str(want) for want in shape)
+        raise ValueError(f"{where} must be [{dims}], got shape {a.shape}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -92,8 +101,7 @@ def _labels(y, n: int, n_classes: int) -> np.ndarray:
     """The one label rule: `y` as a new read-only int64 vector of shape [n],
     integer-valued (NaN and inf fail) and in [0, n_classes)."""
     y = np.asarray(y)
-    if y.shape != (n,):
-        raise ValueError(f"labels must be [{n}], got shape {y.shape}")
+    _shape(y, "labels", (n,))
     if not (np.isfinite(y).all() and (np.mod(y, 1) == 0).all()):
         raise ValueError("labels must be integers")
     if n and (y.min() < 0 or y.max() >= n_classes):

@@ -162,9 +162,11 @@ class Strategy:
 
     def check_budget(self, budget: int, n: int) -> None:
         """Walk `plan` down the whole tree, before any training; `n` is the
-        root's smallest round pool."""
+        root's smallest round pool. A constituent that picks nothing is not
+        run, so it is not walked."""
         for sub, (m, b) in zip(self.constituents, self.plan(n, budget)):
-            sub.check_budget(b, m)
+            if b:
+                sub.check_budget(b, m)
 
 
 def _ascending(candidates: np.ndarray) -> np.ndarray:

@@ -122,6 +122,17 @@ class TestValidateConfig:
                                    "constituents": [{"kind": "random"}, {"kind": "bald"}]})
         validate_config(cfg)
 
+    def test_hybrid_arm_that_picks_nothing_is_not_walked(self, tmp_path):
+        # its series arm would need a budget of at least 1, but never runs
+        cfg = self._with_strategy({"kind": "hybrid", "params": {"budgets": [0, 4]}, "constituents": [
+            {"kind": "series", "params": {"kappas": [2, 1]}, "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]},
+            {"kind": "bald"}]})
+        cfg["al"]["T"], cfg["output_dir"] = 1, str(tmp_path / "out")
+        assert main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
+        (record,) = (tmp_path / "out").glob("*/0/record.csv")
+        rows = list(csv.DictReader(record.open()))
+        assert [(r["round"], r["n_labeled"]) for r in rows] == [("1", "8")]
+
     def test_bool_hybrid_budget_rejected(self):
         cfg = self._with_strategy({"kind": "hybrid", "params": {"budgets": [True, 9]},
                                    "constituents": [{"kind": "bald"}, {"kind": "random"}]}, b=10)
@@ -726,6 +737,18 @@ class TestToyCommand:
         rc = main(["toy", "--out", str(out), "--seeds", seeds, "--rounds", "1"])
         assert rc == 1
         assert "error: --seeds must name at least 2 seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_rounds_named_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # it used to name the config section 'al', which the user never wrote
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before --rounds was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        out = tmp_path / "toy"
+        rc = main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "0"])
+        assert rc == 1
+        assert "error: --rounds must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_is_a_valid_config(self):

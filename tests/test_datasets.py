@@ -107,7 +107,7 @@ class TestBlobs:
         assert not np.array_equal(a.X, c.X)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^centers must have at least 2 rows, got 1$"):
             make_blobs(10, np.zeros((1, 2)), 0.5)
         with pytest.raises(ValueError):
             make_blobs(10, np.zeros((2, 2)), 0.5)  # duplicate centers

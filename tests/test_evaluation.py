@@ -180,6 +180,11 @@ class TestAccuracyTable:
         with pytest.raises(ValueError):
             AccuracyTable("a", (0, 1), np.array([[0.5, np.nan]]))
 
+    @pytest.mark.parametrize("seeds,data", [((0, 1), np.zeros((0, 2))), ((), np.zeros((3, 0)))])
+    def test_no_rounds_or_no_seeds_rejected(self, seeds, data):
+        with pytest.raises(ValueError, match="^a: accuracies need at least one round and one seed$"):
+            AccuracyTable("a", seeds, data)
+
 
 class TestHeatmap:
     def test_dominant_two_strategy_matrix(self):

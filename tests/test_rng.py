@@ -1,5 +1,5 @@
-"""Tests for keyed random streams, the package's integer, number, array and
-label rules, and atomic artifact writes."""
+"""Tests for keyed random streams, the package's integer, number, array,
+shape and label rules, and atomic artifact writes."""
 
 import re
 from pathlib import Path
@@ -21,12 +21,14 @@ from acqbench.aggregation import (
     AnnealingSchedule,
     FeedbackState,
     annealing_phase,
+    check_selection,
     feedback_update,
+    parallel_ranked_select,
     random_alternate,
 )
 from acqbench.config import validate_config
 from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
-from acqbench.evaluation import AccuracyTable, WinningRateMatrix, t_score, winning_rate
+from acqbench.evaluation import AccuracyTable, WinningRateMatrix, compute_heatmap, t_score, winning_rate
 from acqbench.fileio import atomic_write_text
 from acqbench.model import MCConfig, ModelParams, TrainConfig, init_model, predict_proba, train
 from acqbench.rng import _array, derive_seed, stream
@@ -396,6 +398,55 @@ class TestArrayRule:
         assert _array(_F, "f", 2) is _F
 
 
+def _heatmap_of(data):
+    return compute_heatmap([AccuracyTable("a", (0, 1), np.full((2, 2), 0.5)), AccuracyTable("b", (0, 1), data)])
+
+
+# (the field its error names, a call taking the array, an array of one wrong
+# length); each length is one the site's own shape names: a layer width, a
+# candidate count, a seed count, or the shape of the array paired with it
+LENGTH_SITES = {
+    "model inputs": ("input features", lambda a: predict_proba(_P, a), np.zeros((3, 3))),
+    "k_centers.labeled": ("labeled features", lambda a: select_k_centers(_F, a, 1), np.zeros((2, 3))),
+    "gradient_embeddings": ("features", lambda a: gradient_embeddings(_T, a), np.zeros((2, 2))),
+    "parallel_ranked_select": ("score vector s2", lambda a: parallel_ranked_select(np.arange(3.0), a, 1),
+                               np.arange(2.0)),
+    "AccuracyTable": ("a: accuracies", lambda a: AccuracyTable("a", (0, 1), a), np.full((2, 3), 0.5)),
+    "t_score": ("paired samples b", lambda b: t_score([0.5, 0.5, 0.5], b), np.array([0.4, 0.5])),
+    "winning_rate": ("accuracy table b", lambda b: winning_rate(np.full((2, 2), 0.5), b), np.full((3, 2), 0.5)),
+    "WinningRateMatrix": ("winning rates", lambda a: WinningRateMatrix(("a", "b"), a, 2.0), np.zeros((3, 3))),
+    "compute_heatmap": ("table b", _heatmap_of, np.full((3, 2), 0.5)),
+    "check_selection": ("batch", lambda a: check_selection(np.arange(5), a, 3), np.array([0, 1])),
+    "labels": ("labels", lambda y: Dataset(_F, y, 2), np.array([0, 1])),
+    # a bias of length 1 used to broadcast, and a wrong w2 failed inside matmul
+    "ModelParams.b1": ("b1", _params_with("b1"), np.zeros(1)),
+    "ModelParams.w2": ("w2", _params_with("w2"), np.zeros((4, 5))),
+    "ModelParams.b2": ("b2", _params_with("b2"), np.zeros(5)),
+    "ModelParams.w3": ("w3", _params_with("w3"), np.zeros((3, 2))),
+    "ModelParams.b3": ("b3", _params_with("b3"), np.zeros(1)),
+}
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("site", LENGTH_SITES)
+    def test_wrong_lengths_rejected_by_name(self, site):
+        field, call, bad = LENGTH_SITES[site]
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be \\[[*0-9, ]+\\], got shape "):
+            call(bad)
+
+    def test_one_wording(self):
+        with pytest.raises(ValueError, match=re.escape("w2 must be [4, 4], got shape (4, 5)")):
+            _params_with("w2")(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match=re.escape("input features must be [*, 2], got shape (3,)")):
+            predict_proba(_P, np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("f must be [*, *], got shape (2, 2, 2)")):
+            _array(np.zeros((2, 2, 2)), "f", 2)
+
+    def test_free_axes_take_any_length(self):
+        assert _array(np.zeros((0, 7)), "f", (None, 7)).shape == (0, 7)
+        assert _array(np.zeros((5, 2)), "f", (5, None)).shape == (5, 2)
+
+
 # read as `src_lines` in conftest.py reads it
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"
 
@@ -423,6 +474,12 @@ class TestRuleOwners:
     def test_only_rng_checks_scalar_finiteness(self):
         # the number rule has one owner too
         assert _outside_rng(re.compile(r"\bmath\.isfinite\b")) == []
+
+    def test_only_rng_compares_or_words_a_shape(self):
+        # the shape rule has one owner: `_array`, `_labels` and
+        # `check_selection` name a shape, and `rng._shape` compares it
+        pattern = re.compile(r"\.shape(\[\d+\])?\s*!=|np\.shape\([^)]*\)\s*!=|got shape")
+        assert _outside_rng(pattern) == []
 
     def test_only_rng_words_a_range_error(self):
         # a hand-written range check raises "x must be in (0, 1)", "must be

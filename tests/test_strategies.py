@@ -337,6 +337,16 @@ class TestCheckBudget:
         with pytest.raises(ValueError, match="budget .* exceeds .* candidates"):
             strategy.check_budget(budget, n - 1)
 
+    def test_constituent_that_picks_nothing_is_not_walked(self):
+        # hybrid's select never runs an arm of budget 0, so its series stage
+        # is not asked for a budget of at least 1
+        spec = _spec("hybrid", params={"budgets": [0, 4]}, constituents=[
+            _spec("series", params={"kappas": [2, 1]}, constituents=[_spec("k_centers"), _spec("bald")]), _spec("bald")])
+        build_strategy(spec).check_budget(4, 100)
+        state = _state()
+        assert len(build_strategy(spec).select(state, _pool(state), 4, (0,))) == 4
+        assert state.n_features == 0  # the k_centers stage computed nothing
+
 
 class TestFeedbackWiring:
     def test_observe_loss_moves_the_balance(self):

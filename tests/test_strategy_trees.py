@@ -4,8 +4,9 @@ A seeded generator draws valid specs over every kind, up to three structure
 levels deep. For each tree, `check_budget(b, n)` finds the smallest
 candidate count it accepts; `select` on that many candidates must then
 return b distinct candidates, every structure node must hand each
-constituent it runs exactly the (candidates, picks) of its `plan`, and a
-rerun on a fresh tree and state must pick the same points.
+constituent it runs exactly the (candidates, picks) of its `plan`, the
+round's forward-pass counts must be those of the points its leaves asked
+for, and a rerun on a fresh tree and state must pick the same points.
 """
 
 import numpy as np
@@ -50,8 +51,8 @@ def _leaf(g, kinds=LEAF_KINDS) -> dict:
 def _draw(g, budget: int, depth: int) -> dict:
     """A valid spec for a node that picks `budget`, at most `depth` structure
     levels deep: series kappas nonincreasing and ending in 1, hybrid budgets
-    summing to `budget`, parallel only on an even budget, parallel_ranked
-    only over scorers, and a leaf on a hybrid arm that picks nothing."""
+    summing to `budget`, parallel only on an even budget, and parallel_ranked
+    only over scorers."""
     if not depth or g.random() < 0.3:
         return _leaf(g)
     kind = str(g.choice([k for k in STRUCTURES if k != "parallel" or budget % 2 == 0]))
@@ -66,7 +67,7 @@ def _draw(g, budget: int, depth: int) -> dict:
         b1 = int(g.integers(0, budget + 1))
         split = [b1, budget - b1]
         return {"kind": kind, "params": {"budgets": split},
-                "constituents": [_draw(g, b, depth - 1) if b else _leaf(g) for b in split]}
+                "constituents": [_draw(g, b, depth - 1) for b in split]}
     sub_budget = budget // 2 if kind == "parallel" else budget
     return {"kind": kind, "constituents": [_draw(g, sub_budget, depth - 1) for _ in range(2)]}
 
@@ -141,6 +142,29 @@ def _check_routing(calls: list[dict]) -> None:
             assert which == [j for j, (_, b) in enumerate(plan) if b], node.name
 
 
+# what a call computes for the candidates it is handed: Monte Carlo passes
+# to score them (a parallel_ranked node scores for its leaves), or features
+MC_KINDS = (*SCORERS, "power_bald", "badge", "parallel_ranked")
+FEATURE_KINDS = ("k_centers", "badge", "facility_location", "disparity_min")
+
+
+def _kind(node) -> str | None:
+    return "parallel_ranked" if isinstance(node, ParallelRankedStrategy) else getattr(node, "kind", None)
+
+
+def _check_inference(calls: list[dict], state: RoundState) -> None:
+    """Each point's passes and features were computed once in the round:
+    `n_mc` is the passes times the points any scoring call was handed, and
+    `n_features` the points any embedding call was handed, plus the labeled
+    set when k_centers ran."""
+    def handed(kinds) -> set[int]:
+        return set().union(*(c["candidates"].tolist() for c in calls if _kind(c["node"]) in kinds))
+
+    embedded = handed(FEATURE_KINDS) | (set(_LABELED.tolist()) if handed(("k_centers",)) else set())
+    assert state.n_mc == state.mc.n_passes * len(handed(MC_KINDS))
+    assert state.n_features == len(embedded)
+
+
 def _trees(count: int = 100, seed: int = 2024) -> list[tuple[int, dict]]:
     g = np.random.default_rng(seed)
     trees = []
@@ -163,8 +187,9 @@ def test_walk_and_run_agree(budget, spec):
     smallest = _smallest_pool(build_strategy(spec), budget)
     for n in (smallest, 3 * smallest + 7):
         tree, candidates, key = build_strategy(spec), _POOL[:n], (0, 3, n)
-        calls = _record(tree)
-        batch = tree.select(_state(), candidates, budget, key)
+        calls, state = _record(tree), _state()
+        batch = tree.select(state, candidates, budget, key)
         check_selection(candidates, batch, budget)
         _check_routing(calls)
+        _check_inference(calls, state)
         np.testing.assert_array_equal(build_strategy(spec).select(_state(), candidates, budget, key), batch)
