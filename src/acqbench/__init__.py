@@ -28,9 +28,9 @@ from .datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from .evaluation import (
     AccuracyTable,
     WinningRateMatrix,
-    accuracy_table,
     compute_heatmap,
     t_score,
+    table_from_runs,
     winning_rate,
 )
 from .model import (

@@ -7,6 +7,8 @@ least-confident, and k-centers selection).
 
 Results are laid out as output_dir/<strategy>/<seed>/{record.csv,
 summary.json}, so `compare` can reconstruct everything from the tree alone.
+`toy` writes its records as `sweep` does and builds its tables from them as
+`compare` does, over its own strategies and seeds only.
 All artifact writes are atomic. Commands exit 0 only after every artifact
 landed; config violations exit nonzero naming the offending key.
 """
@@ -27,7 +29,6 @@ from .evaluation import (
     DEFAULT_CRITICAL,
     AccuracyTable,
     _check_critical,
-    accuracy_table,
     compute_heatmap,
     heatmap_csv_text,
     heatmap_svg_text,
@@ -36,7 +37,6 @@ from .evaluation import (
 from .fileio import atomic_write_text, csv_text
 from .rng import _integer
 from .simulator import RunRecord, check_seeds, read_record_csv, sweep, write_record
-from .strategies import build_strategy
 
 TOY_STRATEGIES = (
     {"kind": "random"},
@@ -76,7 +76,7 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = range(int(lo), int(hi) + 1) if sep else [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ValueError(f"--seeds must be integers as a list '0,1,2' or a range '0..9', got {text!r}") from None
-    return check_seeds(seeds)
+    return check_seeds(seeds, "--seeds")
 
 
 def _parse_values(text: str) -> list[float]:
@@ -91,7 +91,7 @@ def _parse_values(text: str) -> list[float]:
 
 def _jobs(args) -> int:
     if args.jobs is not None:
-        return args.jobs
+        return _integer(args.jobs, "--jobs", 1)
     env = os.environ.get("ACQBENCH_JOBS", "").strip() or "1"
     if not (env.isdecimal() and int(env) >= 1):
         raise ValueError(f"ACQBENCH_JOBS must be an integer >= 1, got {env!r}")
@@ -183,24 +183,27 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _strategy_table(name: str, seed_dirs) -> AccuracyTable:
+    """One strategy's accuracy table, read back from the record.csv in each
+    of its seed directories (out/<strategy>/<seed>, as sweep writes them)."""
+    runs = []
+    for seed_dir in seed_dirs:
+        seed = int(seed_dir.name) if seed_dir.name.removeprefix("-").isdecimal() else None
+        if seed is None or str(seed) != seed_dir.name:
+            raise ValueError(f"{seed_dir}: seed directory name must be an integer as sweep writes it")
+        runs.append((seed, [row["test_accuracy"] for row in read_record_csv(seed_dir / "record.csv")]))
+    return table_from_runs(name, runs)
+
+
 def _discover_tables(root: Path) -> list[AccuracyTable]:
     """Rebuild accuracy tables from an output tree (strategy/seed/record.csv)."""
     if not root.is_dir():
         raise ValueError(f"{root} is not a directory")
     tables = []
     for sdir in sorted(p for p in root.iterdir() if p.is_dir()):
-        runs = []
-        for rec_path in sorted(sdir.glob("*/record.csv")):
-            name = rec_path.parent.name
-            try:
-                seed = int(name)
-            except ValueError:
-                seed = None
-            if seed is None or str(seed) != name:
-                raise ValueError(f"{rec_path.parent}: seed directory name must be an integer as sweep writes it")
-            runs.append((seed, [row["test_accuracy"] for row in read_record_csv(rec_path)]))
-        if runs:
-            tables.append(table_from_runs(sdir.name, runs))
+        seed_dirs = sorted(rec_path.parent for rec_path in sdir.glob("*/record.csv"))
+        if seed_dirs:
+            tables.append(_strategy_table(sdir.name, seed_dirs))
     if not tables:
         raise ValueError(f"no strategy results under {root}")
     return tables
@@ -281,7 +284,7 @@ def _cmd_toy(args) -> int:
     selections = [["strategy", "seed", "round", "index", "x0", "x1", "label"]]
     for spec in TOY_STRATEGIES:
         name, records = _run_strategy(cfg, spec, seeds, out, jobs=_jobs(args), timings=args.timings)
-        table = accuracy_table(records)
+        table = _strategy_table(name, [out / name / str(seed) for seed in seeds])
         tables.append(table)
         atomic_write_text(out / name / "accuracy_table.csv", table_csv_text(table))
         selections += (

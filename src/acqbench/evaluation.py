@@ -18,7 +18,6 @@ import numpy as np
 
 from .fileio import csv_text
 from .rng import _array, _integer, _number
-from .simulator import RunRecord
 
 DEFAULT_CRITICAL = 2.776
 
@@ -50,20 +49,12 @@ def table_from_runs(name: str, runs) -> AccuracyTable:
     """One strategy's table from (seed, per-round accuracies) pairs, in
     seed order; every seed must appear once and have the same rounds."""
     runs = sorted(runs, key=lambda run: run[0])
+    if not runs:
+        raise ValueError(f"{name}: no runs")
     lengths = {len(accs) for _, accs in runs}
     if len(lengths) != 1:
         raise ValueError(f"{name}: seeds disagree on round count {sorted(lengths)}")
     return AccuracyTable(name, tuple(seed for seed, _ in runs), np.array([accs for _, accs in runs]).T)
-
-
-def accuracy_table(records: list[RunRecord]) -> AccuracyTable:
-    """Assemble one strategy's table from its per-seed records (seed-sorted)."""
-    if not records:
-        raise ValueError("no records")
-    names = {r.strategy for r in records}
-    if len(names) != 1:
-        raise ValueError(f"records mix strategies {sorted(names)}")
-    return table_from_runs(names.pop(), [(r.seed, [row.test_accuracy for row in r.rows]) for r in records])
 
 
 def t_score(a: np.ndarray, b: np.ndarray) -> float:

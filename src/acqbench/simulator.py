@@ -246,14 +246,15 @@ def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:
     return run_experiment(replace(cfg, seed=seed))
 
 
-def check_seeds(seeds) -> list[int]:
+def check_seeds(seeds, where: str = "'seeds'") -> list[int]:
     """A run seed list from any iterable of Python or numpy integers, or
-    JSON's integral floats: nonempty, no bools, no duplicates, each a key."""
-    seeds = [_key(_json_integer(s, "'seeds' entries"), "'seeds' entries") for s in seeds]
+    JSON's integral floats: nonempty, no bools, no duplicates, each a key.
+    Errors name `where`: the config key, or the flag the seeds came from."""
+    seeds = [_key(_json_integer(s, f"{where} entries"), f"{where} entries") for s in seeds]
     if not seeds:
-        raise ValueError("'seeds' must name at least one seed")
+        raise ValueError(f"{where} must name at least one seed")
     if len(set(seeds)) != len(seeds):
-        raise ValueError(f"'seeds' contains duplicates: {seeds}")
+        raise ValueError(f"{where} contains duplicates: {seeds}")
     return seeds
 
 

@@ -430,6 +430,28 @@ class TestSweepCommand:
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate", "toy"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "0"], "error: --jobs must be >= 1, got 0"),
+        (["--seeds", "3..1"], "error: --seeds must name at least one seed"),
+        (["--seeds", "0,0"], "error: --seeds contains duplicates: [0, 0]"),
+    ])
+    def test_bad_flag_is_named_before_any_run(self, tmp_path, capsys, monkeypatch, command, flags, message):
+        # these named `jobs` and the config key 'seeds', which the user never wrote
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the flags were checked")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        cfg = _base_config(tmp_path / "out")
+        cfg["strategy"] = {"kind": "annealing", "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        config = ["--config", _write_config(tmp_path, cfg)]
+        args = {"sweep": config, "ablate": [*config, "--parameter", "rate", "--values", "2"],
+                "toy": ["--out", str(tmp_path / "out"), "--rounds", "1"]}[command]
+        rc = main([command, *args, *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flags,seeds", [
         ("sweep", [], [0, 2**64]),
         ("sweep", ["--seeds", f"0,{2**64}"], [0, 1]),
@@ -712,6 +734,40 @@ class TestToyCommand:
         for row in rows[1:]:
             for v in row[1:]:
                 assert 0.0 < float(v) <= 1.0
+
+    def test_heatmap_matches_compare_over_its_records(self, tmp_path):
+        # toy builds its tables from the records it wrote, as compare does;
+        # compare orders strategies by directory name, toy by TOY_STRATEGIES
+        out = tmp_path / "toy"
+        assert main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "2", "--critical", "1.5"]) == 0
+        assert main(["compare", str(out), "--out", str(tmp_path / "cmp"), "--critical", "1.5"]) == 0
+
+        def cells(path):
+            with open(path / "heatmap.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            return {(row[0], col): cell for row in rows for col, cell in zip(header[1:], row[1:])}
+
+        assert cells(out) == cells(tmp_path / "cmp")
+        order = [spec["kind"] for spec in cli.TOY_STRATEGIES]
+        tables = sorted(cli._discover_tables(out), key=lambda table: order.index(table.name))
+        cli._write_heatmap(tables, tmp_path / "ordered", 1.5)
+        for name in ("heatmap.csv", "heatmap.svg"):
+            assert (out / name).read_bytes() == (tmp_path / "ordered" / name).read_bytes()
+
+    def test_stale_out_stays_out_of_its_tables(self, tmp_path):
+        # only the strategies and seeds this run ran reach its tables
+        out = tmp_path / "toy"
+        assert main(["toy", "--out", str(out), "--seeds", "0..2", "--rounds", "2"]) == 0
+        (out / "other" / "0").mkdir(parents=True)
+        shutil.copy(out / "random" / "0" / "record.csv", out / "other" / "0" / "record.csv")
+        assert main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "1"]) == 0
+        with open(out / "heatmap.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["strategy", "random", "least_confident", "k_centers"]
+        for name in ("random", "least_confident", "k_centers"):
+            with open(out / name / "accuracy_table.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["round", "seed_0", "seed_1"]
+            assert len(rows) == 2
 
     @pytest.mark.parametrize("critical", ["nan", "-1"])
     def test_bad_critical_exits_before_any_run(self, tmp_path, capsys, monkeypatch, critical):

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import ast
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,25 +14,13 @@ from scipy import stats
 from acqbench.evaluation import (
     AccuracyTable,
     WinningRateMatrix,
-    accuracy_table,
     compute_heatmap,
     heatmap_csv_text,
     heatmap_svg_text,
     t_score,
+    table_from_runs,
     winning_rate,
 )
-from acqbench.simulator import RoundRow, RunRecord
-
-
-def _record(strategy, seed, accs):
-    rows = tuple(
-        RoundRow(round=t, n_labeled=10 + t, test_accuracy=float(acc),
-                 batch_loss_prev_model=0.5, strategy_tag=strategy, acq_ms=0.0,
-                 train_ms=0.0, n_infer=0, n_infer_mc=0, n_infer_features=0,
-                 selected=())
-        for t, acc in enumerate(accs, start=1)
-    )
-    return RunRecord(strategy=strategy, seed=seed, initial_accuracy=0.5, rows=rows)
 
 
 def _table(name, data, seeds=None):
@@ -147,30 +137,23 @@ class TestWinningRate:
 
 class TestAccuracyTable:
     def test_assembled_from_records_in_seed_order(self):
-        recs = [
-            _record("bald", 3, [0.6, 0.7]),
-            _record("bald", 1, [0.5, 0.8]),
-        ]
-        table = accuracy_table(recs)
+        table = table_from_runs("bald", [(3, [0.6, 0.7]), (1, [0.5, 0.8])])
         assert table.name == "bald"
         assert table.seeds == (1, 3)
         np.testing.assert_allclose(table.data, [[0.5, 0.6], [0.8, 0.7]])
 
-    def test_mixed_strategies_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_table([_record("a", 0, [0.5]), _record("b", 1, [0.5])])
-
     def test_round_count_disagreement_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_table([_record("a", 0, [0.5]), _record("a", 1, [0.5, 0.6])])
+        with pytest.raises(ValueError, match=r"^a: seeds disagree on round count \[1, 2\]$"):
+            table_from_runs("a", [(0, [0.5]), (1, [0.5, 0.6])])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_table([])
+        # it used to say "seeds disagree on round count []"
+        with pytest.raises(ValueError, match="^bald: no runs$"):
+            table_from_runs("bald", [])
 
     def test_duplicate_seed_rejected_naming_strategy(self):
         with pytest.raises(ValueError, match="bald: duplicate seeds"):
-            accuracy_table([_record("bald", 1, [0.5]), _record("bald", 1, [0.6])])
+            table_from_runs("bald", [(1, [0.5]), (1, [0.6])])
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
@@ -284,3 +267,35 @@ class TestRendering:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "alpha" in svg and "beta" in svg and "row_average" in svg
+
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"
+
+
+class TestOneTableBuilder:
+    """`toy` and `compare` build their tables one way: from records on disk,
+    through the reader `cli._strategy_table`. A second builder must not
+    regrow before more artifacts are read off the same tables."""
+
+    def test_evaluation_does_not_import_the_run_loop(self):
+        tree = ast.parse((_PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
+        imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        assert [m for m in imported if m and m.split(".")[-1] == "simulator"] == []
+
+    def test_table_from_runs_has_one_caller(self):
+        # every use of the name (imports and its definition are not uses),
+        # by module and the innermost function it sits in
+        users = []
+
+        def visit(node, module, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if getattr(node, "id", None) == "table_from_runs" or getattr(node, "attr", None) == "table_from_runs":
+                users.append((module, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, where)
+
+        for path in sorted(_PACKAGE.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+        assert users == [("cli.py", "_strategy_table")]

@@ -174,7 +174,13 @@ def _trees(count: int = 100, seed: int = 2024) -> list[tuple[int, dict]]:
     return trees
 
 
-TREES = _trees()
+# a hybrid arm that picks nothing is not run, so the walk must skip it: a
+# walked series would refuse budget 0. No drawn tree has such an arm.
+ZERO_ARM = (4, {"kind": "hybrid", "params": {"budgets": [0, 4]}, "constituents": [
+    {"kind": "series", "params": {"kappas": [2, 1]}, "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]},
+    {"kind": "bald"},
+]})
+TREES = [*_trees(), ZERO_ARM]
 
 
 def test_trees_cover_every_kind():
