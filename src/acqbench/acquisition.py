@@ -22,8 +22,6 @@ from .rng import _array, _integer, _number, stream
 
 # Byte budget for one block of pool-minus-labeled differences in k-centers.
 _BLOCK_BYTES = 4 << 20
-# Candidates whose facility-location gain is recomputed together.
-_GAIN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -127,11 +125,11 @@ def select_power(scores: np.ndarray, b: int, power: float, seed: int) -> np.ndar
     """
     s = _array(scores, "scores", 1)
     _check_budget(b, len(s))
-    if s.min() < 0.0:
+    if (s < 0.0).any():
         raise ValueError("power selection requires nonnegative scores")
     power = _number(power, "power", gt=0)
     g = stream(seed)
-    top = s.max()
+    top = s.max(initial=0.0)
     w = (s / top) ** power if top > 0.0 else np.zeros_like(s)
 
     chosen: list[int] = []
@@ -263,15 +261,43 @@ def _unit_rows(f: np.ndarray) -> np.ndarray:
     return f / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; rows with zero norm get similarity 0.
+def _raise_cover(unit, tot, cover, sims, cands, rows, tol):
+    """Raise `cover` to a pick's similarities `sims` and add the change to
+    the totals of `cands`: new_i - clip(sim(i, j), old_i, new_i), summed
+    over the points i whose cover rose.
 
-    `unit @ unit.T` goes to a symmetric rank-k update that computes one
-    triangle and mirrors it, so the matrix is exactly symmetric.
+    Those points go in blocks of `rows`, lowest reach first, and each block
+    is one GEMM against only the candidates it can reach. On the unit
+    sphere angle(i, j) >= angle(j, p) - angle(i, p), so a candidate farther
+    from the pick p than a block's largest reach angle(i, p) + arccos(old_i)
+    has sim(i, j) <= old_i for the whole block, and its change is exactly
+    the block's gap sum. Every cosine moves by `tol` toward the safe side
+    before arccos, and every angle by 16 eps, several ulps of pi, for
+    arccos's own rounding.
     """
-    unit = _unit_rows(f)
-    sims = unit @ unit.T
-    return np.clip(sims, -1.0, 1.0, out=sims)
+    rise = np.flatnonzero(sims > cover)
+    if len(rise) == 0:
+        return
+    old, new = cover[rise], sims[rise]
+    cover[rise] = new
+    margin = 16 * np.finfo(np.float64).eps
+    far = np.arccos(np.minimum(sims[cands] + tol, 1.0)) - margin
+    reach = np.arccos(np.maximum(new - tol, -1.0)) + np.arccos(np.maximum(old - tol, -1.0)) + margin
+    by_reach = np.argsort(reach)
+    near = np.flatnonzero(far <= reach[by_reach[-1]])
+    near = near[np.argsort(far[near])]
+    far, near, near_units = far[near], cands[near], unit[cands[near]]
+    tot[cands] += (new - old).sum()
+    # every block's product goes into one buffer, so one block is held at a time
+    delta, buf = np.zeros(len(near)), np.empty(min(rows, len(rise)) * len(near))
+    for lo in range(0, len(rise), rows):
+        blk = by_reach[lo : lo + rows]
+        k = np.searchsorted(far, reach[blk[-1]], side="right")
+        s = np.matmul(unit[rise[blk]], near_units[:k].T, out=buf[: len(blk) * k].reshape(len(blk), k))
+        np.maximum(s, old[blk, None], out=s)
+        np.minimum(s, new[blk, None], out=s)
+        delta[:k] += old[blk].sum() - s.sum(axis=0)
+    tot[near] += delta
 
 
 def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
@@ -283,51 +309,58 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     there it coincides with the unfloored objective. Greedy achieves at
     least (1 - 1/e) of the optimal batch value.
 
-    Lazy greedy (Minoux 1978): a gain can only shrink as the batch grows,
-    so each candidate's last computed gain bounds its current one. A step
-    recomputes gains in blocks of `_GAIN_BLOCK` candidates, highest bound
-    first, as pairwise sums of contiguous rows, until no bound left plus
-    `slack` reaches the best. Every bound starts at +inf, so the first step
-    computes every row's sum of max(sim, 0).
-    Bound, then verify: the picks are those of summing every gain over the
-    pool rows in order, as `sum(axis=0)` of the n x n matrix does, where a
-    pairwise sum can flip a near tie. Every computed gain is within
-    slack / 4 of its exact value, so only candidates within 2 `slack` of
-    the best (usually one) can win; `np.cumsum` re-sums those in order, and
-    ties go to the lowest position. The matrix is held once: it is exactly
-    symmetric, so a candidate's similarities are a row.
+    Candidate j's similarities are the column `clip(unit @ unit[j])`, as
+    in `select_disparity_min`, and memory stays O(n * width): no n x n
+    matrix is built. Each candidate keeps a total
+    tot[j] = sum_i max(sim(i, j), cover_i), every cover 0 at first, and
+    its gain is tot[j] - sum(cover). The first totals are one matrix-vector
+    product `unit @ unit.sum(0)` when no feature is negative, else one pass
+    of clip(sim, 0, 1) in blocks of `rows` = max(width, 16) rows. After a
+    pick only the points whose cover rose change a total (`_raise_cover`).
+
+    Bound, then verify: the picks are those of summing every candidate's
+    column in order with `np.cumsum`. A total and that sum each stay near
+    the exact sum over the rows' directions, and `slack` bounds their
+    distance. Every computed cosine is within tol = (w + 4) eps of the
+    exact one: w u from the product, (w + 4) u from the unit rows' norms.
+    A point's terms telescope over disjoint cover intervals, so its cosine
+    errors add up to 3 tol in a total and tol in a column. The sums of
+    terms in [0, 1] add at most n (3n + w + rows + 4) u over a call: the
+    first totals, the gap sums (which telescope too) and the in-order sum.
+    Each step adds at most (n + 1)(2 rows + 2n / rows + 6) u: at most
+    n / rows + 1 blocks, each summing at most `rows` terms in [0, 1] into a
+    partial sum below n + 1. So only candidates within 2 `slack` of the
+    best total can win. Each gets its column, summed in order, and ties go
+    to the lowest position.
     """
     pool = _array(pool_features, "pool features", 2)
-    n = len(pool)
+    n, w = pool.shape
     _check_budget(b, n)
-    cols = _cosine_similarity_matrix(pool)
-    # A gain is a sum of n terms in [0, 1] minus a sum of n covers in
-    # [0, 1], so its computed value, in order or pairwise, is within
-    # n^2 eps of the exact one; `slack` is four times that.
-    slack = 4.0 * n * n * np.finfo(np.float64).eps
-    bound = np.full(n, np.inf)
-    cover = np.zeros(n)
     chosen = np.empty(b, dtype=np.int64)
+    if b == 0:
+        return chosen
+    unit = _unit_rows(pool)
+    rows, u = max(w, 16), np.finfo(np.float64).eps / 2
+    tol = (2 * w + 8) * u
+    slack = 4 * n * tol + u * (n * (3 * n + w + rows + 4) + b * (n + 1) * (2 * rows + 2 * n / rows + 6))
+    if pool.min() >= 0.0:
+        tot = unit @ unit.sum(axis=0)
+    else:
+        tot = sum(np.clip(unit[lo : lo + rows] @ unit.T, 0.0, 1.0).sum(axis=0) for lo in range(0, n, rows))
+    cover = np.zeros(n)
+    live = np.ones(n, dtype=bool)
     for step in range(b):
         total = cover.sum()
+        gain = np.where(live, tot - total, -np.inf)
         best = -np.inf
-        live = np.flatnonzero(bound > -np.inf)
-        order = live[np.argsort(-bound[live], kind="stable")]
-        for lo in range(0, len(order), _GAIN_BLOCK):
-            rows = order[lo : lo + _GAIN_BLOCK]
-            rows = rows[bound[rows] + slack >= best]
-            if len(rows) == 0:
-                break
-            blk = cols[rows]
-            np.maximum(blk, cover, out=blk)
-            bound[rows] = blk.sum(axis=1) - total
-            best = max(best, bound[rows].max())
-        near = live[bound[live] + slack >= best - slack]
-        exact = np.cumsum(np.maximum(cols[near], cover), axis=1)[:, -1] - total
-        pick = int(near[np.argmax(exact)])
-        chosen[step] = pick
-        bound[pick] = -np.inf
-        cover = np.maximum(cover, cols[pick])
+        for j in np.flatnonzero(gain >= gain.max() - 2 * slack):
+            col = np.clip(unit @ unit[j], -1.0, 1.0)
+            exact = np.cumsum(np.maximum(col, cover))[-1] - total
+            if exact > best:
+                best, chosen[step], sims = exact, j, col
+        live[chosen[step]] = False
+        if step + 1 < b:
+            _raise_cover(unit, tot, cover, sims, np.flatnonzero(live), rows, tol)
     return chosen
 
 

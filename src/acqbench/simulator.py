@@ -209,6 +209,8 @@ def step(run: Run) -> RoundRow:
     batch = run.strategy.select(state, pool, cfg.budget, (cfg.seed, NS_ACQUIRE, t))
     acq_ms = (time.perf_counter() - t0) * 1000.0
     batch = check_selection(pool, batch, cfg.budget)
+    n_mc, n_features = state.n_mc, state.n_features
+    del state  # its memo's stacks and features are not needed past selection
 
     batch_loss = mdl.mean_cross_entropy(run.params, cfg.train_ds.X[batch], oracle_label(cfg.train_ds, batch))
     run.strategy.observe_loss(batch_loss)
@@ -223,9 +225,9 @@ def step(run: Run) -> RoundRow:
         strategy_tag=run.strategy.last_tag,
         acq_ms=acq_ms,
         train_ms=train_ms,
-        n_infer=state.n_mc + state.n_features,
-        n_infer_mc=state.n_mc,
-        n_infer_features=state.n_features,
+        n_infer=n_mc + n_features,
+        n_infer_mc=n_mc,
+        n_infer_features=n_features,
         selected=tuple(int(i) for i in batch),
     )
     run.rows.append(row)

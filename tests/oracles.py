@@ -4,9 +4,20 @@ import itertools
 
 import numpy as np
 
-from acqbench.acquisition import _check_budget, _cosine_similarity_matrix
+from acqbench.acquisition import _check_budget, _unit_rows
 from acqbench.aggregation import EXPLOIT, AnnealingSchedule, annealing_phase
 from acqbench.rng import _array
+
+
+def cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity; rows with zero norm get similarity 0.
+
+    `unit @ unit.T` goes to a symmetric rank-k update that computes one
+    triangle and mirrors it, so the matrix is exactly symmetric.
+    """
+    unit = _unit_rows(f)
+    sims = unit @ unit.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def facility_location_value(pool_features: np.ndarray, batch: np.ndarray) -> float:
@@ -16,7 +27,7 @@ def facility_location_value(pool_features: np.ndarray, batch: np.ndarray) -> flo
     batch = np.asarray(batch, dtype=np.int64)
     if len(batch) == 0:
         return 0.0
-    sims = _cosine_similarity_matrix(pool)
+    sims = cosine_similarity_matrix(pool)
     return float(np.maximum(sims[:, batch].max(axis=1), 0.0).sum())
 
 
@@ -35,7 +46,7 @@ def select_disparity_min(candidate_features: np.ndarray, b: int) -> np.ndarray:
     _check_budget(b, len(feats))
     if b == 0:
         return np.empty(0, dtype=np.int64)
-    sims = _cosine_similarity_matrix(feats)
+    sims = cosine_similarity_matrix(feats)
     dist = np.subtract(1.0, sims, out=sims)
     chosen = np.empty(b, dtype=np.int64)
     chosen[0] = 0

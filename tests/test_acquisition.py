@@ -26,7 +26,7 @@ from acqbench.acquisition import (
     select_top_k,
 )
 from acqbench.rng import _array, stream
-from oracles import facility_location_value
+from oracles import cosine_similarity_matrix, facility_location_value
 from oracles import select_disparity_min as reference_disparity_min
 
 
@@ -256,17 +256,9 @@ class TestPowerSelection:
         np.testing.assert_array_equal(select_power(s, 2, 1.0, 42), select_power(s, 2, 1.0, 42))
 
 
-# Reference oracles: the straightforward full-tensor k-centers and the
-# recompute-every-gain facility location, kept verbatim so the blocked and
-# lazy selectors are checked pick for pick against them.
-def _cosine_similarity_matrix(f: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; rows with zero norm get similarity 0."""
-    norms = np.sqrt((f**2).sum(axis=1))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = f / safe[:, None]
-    return np.clip(unit @ unit.T, -1.0, 1.0)
-
-
+# Reference oracles: the straightforward full-tensor k-centers and two
+# recompute-every-gain facility locations, kept verbatim so the blocked and
+# incremental selectors are checked pick for pick against them.
 def _reference_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b: int) -> np.ndarray:
     pool = _array(pool_features, "pool features", 2)
     labeled = _array(labeled_features, "labeled features", 2) if len(labeled_features) else None
@@ -291,9 +283,10 @@ def _reference_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray
 
 
 def _reference_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
+    """Facility location off the full symmetric matrix, summing every gain in order."""
     pool = _array(pool_features, "pool features", 2)
     _check_budget(b, len(pool))
-    sims = _cosine_similarity_matrix(pool)
+    sims = cosine_similarity_matrix(pool)
     cover = np.zeros(len(pool))
     chosen = np.empty(b, dtype=np.int64)
     blocked = np.zeros(len(pool), dtype=bool)
@@ -304,6 +297,26 @@ def _reference_facility_location(pool_features: np.ndarray, b: int) -> np.ndarra
         chosen[step] = pick
         blocked[pick] = True
         cover = np.maximum(cover, sims[:, pick])
+    return chosen
+
+
+def _column_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
+    """Facility location reading candidate j's similarities as the column
+    `clip(unit @ unit[j])` and summing its gain in order."""
+    pool = _array(pool_features, "pool features", 2)
+    _check_budget(b, len(pool))
+    unit = acquisition._unit_rows(pool)
+    cover = np.zeros(len(pool))
+    chosen = np.empty(b, dtype=np.int64)
+    blocked = np.zeros(len(pool), dtype=bool)
+    for step in range(b):
+        total = cover.sum()
+        gains = np.array([np.cumsum(np.maximum(np.clip(unit @ row, -1.0, 1.0), cover))[-1] - total for row in unit])
+        gains[blocked] = -np.inf
+        pick = int(np.argmax(gains))
+        chosen[step] = pick
+        blocked[pick] = True
+        cover = np.maximum(cover, np.clip(unit @ unit[pick], -1.0, 1.0))
     return chosen
 
 
@@ -422,6 +435,16 @@ def _pruning_fixtures():
         pool = np.round(g.normal(size=(n, w)), 1)
         pool[::5] = labeled[: len(pool[::5])]
         yield pool, labeled, n
+
+
+def _polygon_pools():
+    """Regular polygons of 13 to 36 vertices, alone and with copies of every
+    third vertex appended."""
+    for n in (13, 16, 24, 36):
+        angles = 2 * np.pi * np.arange(n) / n
+        polygon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        yield polygon
+        yield np.vstack([polygon, polygon[::3]])
 
 
 def _brute_force_farthest_first(pool, labeled, b):
@@ -618,15 +641,11 @@ class TestFacilityLocation:
 
     def test_matches_reference_greedy(self):
         for pool, _, b in _selector_fixtures():
-            np.testing.assert_array_equal(
-                select_facility_location(pool, b), _reference_facility_location(pool, b)
-            )
+            np.testing.assert_array_equal(select_facility_location(pool, b), _column_facility_location(pool, b))
 
     def test_matches_reference_where_bounds_are_weakest(self):
         for pool, _, b in _pruning_fixtures():
-            np.testing.assert_array_equal(
-                select_facility_location(pool, b), _reference_facility_location(pool, b)
-            )
+            np.testing.assert_array_equal(select_facility_location(pool, b), _column_facility_location(pool, b))
 
     def test_matches_reference_at_near_ties(self):
         # a regular polygon's rows hold the same similarities in rotated
@@ -634,25 +653,65 @@ class TestFacilityLocation:
         # pairwise and in-order sums ranking them differently; appended
         # copies of every third vertex add exact ties
         flips = 0
-        for n in (13, 16, 24, 36):
-            angles = 2 * np.pi * np.arange(n) / n
-            polygon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            for pool in (polygon, np.vstack([polygon, polygon[::3]])):
-                floored = np.maximum(_cosine_similarity_matrix(pool), 0.0)
-                flips += np.argmax(floored.sum(axis=1)) != np.argmax(floored.sum(axis=0))
-                np.testing.assert_array_equal(
-                    select_facility_location(pool, len(pool)), _reference_facility_location(pool, len(pool))
-                )
+        for pool in _polygon_pools():
+            floored = np.maximum(cosine_similarity_matrix(pool), 0.0)
+            flips += np.argmax(floored.sum(axis=1)) != np.argmax(floored.sum(axis=0))
+            np.testing.assert_array_equal(
+                select_facility_location(pool, len(pool)), _column_facility_location(pool, len(pool))
+            )
         assert flips > 0  # some first pick differs between the two sums
 
+    def test_matches_full_matrix_reference_on_continuous_features(self):
+        # signed features make the first totals a blocked pass, and several
+        # blocks of risen points per step exercise the angle pruning; late
+        # gains of rectified features can tie to the last bits, so those
+        # are held to the column reference only
+        g = np.random.default_rng(32)
+        for w in (1, 2, 3, 8, 32, 96):
+            for _ in range(3):
+                n = int(g.integers(2, 301))
+                feats = g.normal(size=(n, w))
+                for f in (feats, np.maximum(feats, 0.0)):
+                    b = int(g.integers(1, min(n, 40) + 1))
+                    got = select_facility_location(f, b)
+                    np.testing.assert_array_equal(got, _column_facility_location(f, b))
+                    if f is feats:
+                        np.testing.assert_array_equal(got, _reference_facility_location(f, b))
+
+    def test_differs_from_full_matrix_reference_only_at_near_ties(self, capsys):
+        # each cosine of a matrix-vector column and of the symmetric product
+        # is within (w + 4) eps of the exact one, so both covers and both
+        # columns are; where the picks first part, the reference's own gains
+        # of the two picks lie within 4 n (w + 4) eps plus both in-order sums'
+        # n^2 eps of each other
+        cases = differing = 0
+        eps = np.finfo(np.float64).eps
+        polygons = ((pool, None, len(pool)) for pool in _polygon_pools())
+        for pool, _, b in itertools.chain(_selector_fixtures(), _pruning_fixtures(), polygons):
+            n, w = pool.shape
+            got, want = select_facility_location(pool, b), _reference_facility_location(pool, b)
+            cases += 1
+            if np.array_equal(got, want):
+                continue
+            differing += 1
+            step = int(np.argmax(got != want))
+            sims = cosine_similarity_matrix(pool)
+            cover = np.maximum(sims[:, want[:step]].max(axis=1, initial=0.0), 0.0)
+            gains = np.maximum(sims, cover[:, None]).sum(axis=0)
+            assert abs(gains[got[step]] - gains[want[step]]) <= (4 * n * (w + 4) + 2 * n * n) * eps
+        assert differing < cases
+        with capsys.disabled():
+            print(f"\nfacility_location picks differ from the full-matrix reference on {differing} of {cases} fixtures")
+
     def test_sums_in_order_every_gain_within_twice_the_slack(self, monkeypatch):
-        # row 11 lies 2e-7 rad from row 10, the centre of a symmetric fan,
+        # row 11 lies 2.5e-7 rad from row 10, the centre of a symmetric fan,
         # so its gain trails the best by between one and two slacks: a
-        # pairwise sum off by up to a slack could still rank it first
-        angles = np.array([-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 2e-7])
+        # total off by up to a slack could still rank it first
+        angles = np.array([-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 2.5e-7])
         pool = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        slack = 4.0 * len(pool) ** 2 * np.finfo(np.float64).eps
-        gains = np.maximum(_cosine_similarity_matrix(pool), 0.0).sum(axis=1)
+        (n, w), b, rows, u = pool.shape, 1, 16, np.finfo(np.float64).eps / 2
+        slack = 4 * n * (2 * w + 8) * u + u * (n * (3 * n + w + rows + 4) + b * (n + 1) * (2 * rows + 2 * n / rows + 6))
+        gains = np.maximum(cosine_similarity_matrix(pool), 0.0).sum(axis=1)
         assert np.argmax(gains) == 10 and slack < gains[10] - gains[11] < 2 * slack
         summed, cumsum = [], np.cumsum
 
@@ -661,8 +720,25 @@ class TestFacilityLocation:
             return cumsum(a, **kwargs)
 
         monkeypatch.setattr(np, "cumsum", counted_cumsum)
-        np.testing.assert_array_equal(select_facility_location(pool, 1), [10])
-        assert summed == [2]
+        np.testing.assert_array_equal(select_facility_location(pool, b), [10])
+        assert summed == [n, n]  # rows 10 and 11, each summed in order
+
+    def test_memory_linear_in_candidates(self):
+        # the n x n similarity matrix alone would be 122 MiB here
+        n, w = 4000, 96
+        feats = np.maximum(np.random.default_rng(15).normal(size=(n, w)), 0.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            select_facility_location(feats, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 4 * n * w * 8
 
     def test_submodular_guarantee(self):
         g = np.random.default_rng(6)
@@ -719,7 +795,7 @@ class TestDisparityMin:
                     continue
                 differing += 1
                 step = int(np.argmax(got != want))
-                min_d = (1.0 - _cosine_similarity_matrix(feats))[:, want[:step]].min(axis=1)
+                min_d = (1.0 - cosine_similarity_matrix(feats))[:, want[:step]].min(axis=1)
                 assert abs(min_d[got[step]] - min_d[want[step]]) <= 2 * (feats.shape[1] + 2) * eps
         with capsys.disabled():
             print(f"\ndisparity_min picks differ from the full-matrix reference on {differing} of {cases} fixtures")
@@ -744,29 +820,12 @@ class TestDisparityMin:
 
 class TestSimilarityMatrix:
     def test_exactly_symmetric(self):
-        # the dense selectors read a candidate's row as its column
+        # the full-matrix references read a candidate's row as its column
         for pool, labeled, _ in _selector_fixtures():
             for feats in (pool, labeled):
                 if len(feats):
-                    sims = acquisition._cosine_similarity_matrix(feats)
+                    sims = cosine_similarity_matrix(feats)
                     np.testing.assert_array_equal(sims, sims.T)
-
-    @pytest.mark.parametrize("select", [select_facility_location, select_disparity_min])
-    def test_dense_selector_holds_one_matrix(self, select):
-        n = 1000
-        feats = np.maximum(np.random.default_rng(14).normal(size=(n, 96)), 0.0)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            select(feats, 50)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
 
 
 class TestSelectorContracts:
@@ -788,3 +847,16 @@ class TestSelectorContracts:
             assert len(batch) == 4
             assert len(set(batch.tolist())) == 4
             assert np.all((batch >= 0) & (batch < 9))
+
+    def test_empty_pool_gives_empty_batch(self):
+        empty, t = np.empty((0, 3)), ProbabilityTensor(np.full((2, 1, 2), 0.5))
+        batches = [
+            select_top_k(np.empty(0), 0),
+            select_power(np.empty(0), 0, 1.0, 0),
+            select_k_centers(empty, np.ones((2, 3)), 0),
+            select_kmeanspp(gradient_embeddings(t, np.ones((1, 3)))[:0], 0, 0),
+            select_facility_location(empty, 0),
+            select_disparity_min(empty, 0),
+        ]
+        for batch in batches:
+            assert batch.dtype == np.int64 and batch.shape == (0,)

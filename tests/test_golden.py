@@ -92,8 +92,9 @@ PINS = {
 
 # The same digest on a pool of a few hundred points with a 64-wide hidden
 # layer, so k-centers' initial distances span several row blocks,
-# facility location's lazy greedy re-evaluates stale gains over many steps
-# and k-means++ (badge) prunes its distance updates over many picks.
+# facility location updates its totals over several blocks of risen
+# covers per step and k-means++ (badge) prunes its distance updates over
+# many picks.
 POOL_PINS = {
     "badge": "1966d988d2677aba0467903c595516cd6b3a5bdc5c34e774a3b65c808b7219d2",
     "facility_location": "57f0e8d8af7f93bd59765f13f3d818415e52f31385a6c2e454eae0152c169900",

@@ -1,11 +1,13 @@
 """Tests for the active-learning loop, its artifacts, and seed handling."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from acqbench import model as mdl
+from acqbench import simulator
 from acqbench.datasets import Dataset, make_blobs
 from acqbench.rng import NS_INIT_LABELED, NS_MODEL_INIT, NS_TRAIN, derive_seed, stream
 from acqbench.simulator import (
@@ -140,6 +142,33 @@ class TestStep:
             step(run)
         nested = run.strategy.constituents[1]
         assert nested.state.losses == tuple(r.batch_loss_prev_model for r in run.rows)
+
+    def test_round_state_dropped_before_the_loss_probe_and_refit(self, monkeypatch):
+        # the memo's MC stacks and features are not held through the probe,
+        # the refit and the test evaluation
+        states, alive = [], []
+
+        class TrackedState(simulator.RoundState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(weakref.ref(self))
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in states))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(simulator, "RoundState", TrackedState)
+        monkeypatch.setattr(simulator, "_fit", counting(simulator._fit))
+        monkeypatch.setattr(mdl, "mean_cross_entropy", counting(mdl.mean_cross_entropy))
+        spec = {"kind": "series", "params": {"kappas": [2, 1]},
+                "constituents": [{"kind": "k_centers"}, {"kind": "bald"}]}
+        run = start(_config(spec))
+        for _ in range(2):
+            row = step(run)
+            assert row.n_infer_mc > 0 and row.n_infer_features > 0
+        assert len(states) == 2 and alive == [0, 0, 0, 0, 0]
 
     def test_labeled_mask_grows_by_each_batch(self):
         run = start(_config({"kind": "entropy"}))
