@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _array, _integer, _number, stream
+from .rng import _array, _integer, _number, _read_only, stream
 
-# Byte budget for one block of pool-minus-labeled differences in k-centers.
-_BLOCK_BYTES = 4 << 20
+# Byte budget for one block of the distance kernels' bound arrays or
+# differences; under glibc's default 128 KiB mmap threshold, so a block's
+# arrays come from the heap rather than from freshly mapped pages.
+_BLOCK_BYTES = 96 << 10
+# Smaller point sets are bounded whole at every new center: on 290 x 48
+# embeddings (0.1 MB) the triangle test costs more than it saves, on
+# 2,500 x 96 features (1.9 MB) it halves the time of a pick.
+_PRUNE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,15 @@ class ProbabilityTensor:
         if np.max(np.abs(d.sum(axis=2) - 1.0)) > 1e-9:
             raise ValueError("probability rows must sum to 1 within 1e-9")
         object.__setattr__(self, "data", d)
+
+    @classmethod
+    def _of_softmax(cls, stack: np.ndarray) -> ProbabilityTensor:
+        """The tensor of a softmax stack its caller has just built and holds
+        no other reference to: frozen in place, without the copy and the
+        range scan the public constructor makes."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", _read_only(stack))
+        return t
 
     @property
     def n_passes(self) -> int:
@@ -148,8 +163,9 @@ def select_power(scores: np.ndarray, b: int, power: float, seed: int) -> np.ndar
 
 
 def _closer_sq(rows: np.ndarray, row_sq: np.ndarray, centers: np.ndarray, current: np.ndarray):
-    """(i, exact `((rows[i] - centers[j]) ** 2).sum(axis=-1)`) for the pairs
-    whose bound says they can beat `current[i]`.
+    """(i, j, exact `((rows[i] - centers[j]) ** 2).sum(axis=-1)`): for each
+    row i with a center j whose bound says it can beat `current[i]`, the
+    least such j (ties to the lower center).
 
     The bound |p|^2 + |c|^2 - 2 p.c (`row_sq` is |p|^2) is one GEMM and only
     filters: its error grows with the norms, not the distance. With unit
@@ -158,17 +174,106 @@ def _closer_sq(rows: np.ndarray, row_sq: np.ndarray, centers: np.ndarray, curren
     covers both (times 1 + 2^-20, plus 4w subnormals). A pair is skipped
     only when bound - slack > `current[i]`, first lowered to the row's least
     bound + slack; a NaN bound keeps it. Kept pairs get the full tensor's
-    bits; when most pass, one broadcast gives each row's minimum instead.
+    bits, computed about `_BLOCK_BYTES` of differences at a time; when most
+    pass, every row gets its least over all centers instead, from one
+    broadcast per chunk of rows.
     """
     w, fp = rows.shape[1], np.finfo(np.float64)
-    norms = row_sq[:, None] + (centers**2).sum(axis=1)
+    norms = row_sq[:, None] + np.einsum("ij,ij->i", centers, centers)
     approx = norms - 2.0 * (rows @ centers.T)
     slack = (1 + 2.0**-20) * fp.eps / 2 * ((2 * w + 1) * norms + (w + 4) * np.abs(approx)) + 4 * w * fp.smallest_subnormal
     keep = ~(approx - slack > np.minimum(current, (approx + slack).min(axis=1))[:, None])
     if 2 * np.count_nonzero(keep) > keep.size:  # one broadcast beats gathering most pairs
-        return np.arange(len(rows)), ((rows[:, None] - centers) ** 2).sum(axis=-1).min(axis=1)
+        sq, step = np.empty(keep.shape), max(1, _BLOCK_BYTES // max(centers.nbytes, 1))
+        for lo in range(0, len(rows), step):
+            sq[lo : lo + step] = ((rows[lo : lo + step, None] - centers) ** 2).sum(axis=-1)
+        i, j = np.arange(len(rows)), sq.argmin(axis=1)
+        return i, j, sq[i, j]
     i, j = np.nonzero(keep)
-    return i, ((rows[i] - centers[j]) ** 2).sum(axis=-1)
+    sq, step = np.empty(len(i)), max(1, _BLOCK_BYTES // max(8 * w, 1))
+    for lo in range(0, len(i), step):
+        sq[lo : lo + step] = ((rows[i[lo : lo + step]] - centers[j[lo : lo + step]]) ** 2).sum(axis=-1)
+    if len(centers) > 1:  # each row's least kept pair, ties to the lower center
+        least = np.lexsort((sq, i))
+        least = least[np.r_[True, i[least[1:]] != i[least[:-1]]]]
+        i, j, sq = i[least], j[least], sq[least]
+    return i, j, sq
+
+
+def _reach(min_sq: np.ndarray, w: int) -> np.ndarray:
+    """For each row, the squared distance `cc` from its nearest center n to
+    a new center c beyond which c cannot be strictly closer to the row.
+
+    Each squared distance here is a sum of w squared differences, summed in
+    some order: within g = (w + 2) u / (1 - (w + 2) u) of the exact d^2,
+    relative, plus w s from underflow (u the unit roundoff, s the least
+    subnormal). So the row x lies at most M = (min_sq + w s) / (1 - g) from
+    n, squared. If d(c, n)^2 >= 4M, the triangle inequality gives
+    d(x, c) >= d(c, n) - d(x, n) >= sqrt(M) (Elkan 2003), so x's computed
+    distance to c is at least (1 - g) M - w s = min_sq. Since
+    d(c, n)^2 >= (cc - w s) / (1 + g), that holds once
+    cc >= 4 r (min_sq + w s) + w s, r = (1 + g) / (1 - g). The reach
+    4 fl(fl(min_sq + 2 w s) f), f = 1 + (w + 4) eps, is at least that: for
+    widths below 10^7, f (1 - u)^2 >= r covers its two relative roundings,
+    and the extra w s the absolute ones. An infinite min_sq, or one whose
+    reach overflows, rules nothing out.
+    """
+    fp = np.finfo(np.float64)
+    return 4.0 * ((min_sq + 2 * w * fp.smallest_subnormal) * (1.0 + (w + 4) * fp.eps))
+
+
+class _Nearest:
+    """Each point's least computed squared distance to a growing set of
+    centers, `min_sq`; for the triangle test, a center at that distance,
+    `near`, and its `_reach`.
+
+    The first `add` (the labeled set, or a first pick) bounds every point
+    against its centers in blocks of rows whose bound arrays take about
+    `_BLOCK_BYTES`. When the points take at least `_PRUNE_BYTES`, each later
+    center c gets its squared distances to the centers so far, and a point
+    whose nearest center lies beyond its reach from c keeps its distance.
+    The rest are gathered into one buffer reused across calls; when more
+    than an eighth of the points remain, every point is bounded instead.
+    `_closer_sq` computes each distance a bound keeps exactly, so `min_sq`
+    holds the bits of a full recomputation, and only a strictly smaller
+    distance moves it.
+    """
+
+    def __init__(self, points: np.ndarray, capacity: int):
+        n, w = points.shape
+        self.points, self.points_sq = points, np.einsum("ij,ij->i", points, points)
+        self.min_sq, self.centers, self.m = np.full(n, np.inf), np.empty((capacity, w)), 0
+        self.reach = None
+        if points.nbytes >= _PRUNE_BYTES:  # the triangle test's state
+            self.reach, self.near = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+            self.diff, self.buf = np.empty((capacity, w)), np.empty((n // 8, w))
+
+    def add(self, new: np.ndarray) -> None:
+        """Make the rows of `new` centers: all rows of a first call, then one."""
+        m, k, n = self.m, len(new), len(self.points)
+        self.centers[m : m + k] = new
+        self.m += k
+        if m and self.reach is not None:
+            d = np.subtract(self.centers[:m], new[0], out=self.diff[:m])
+            live = np.flatnonzero(np.einsum("ij,ij->i", d, d)[self.near] <= self.reach)
+            if len(live) <= len(self.buf):
+                self._lower(live, np.take(self.points, live, axis=0, out=self.buf[: len(live)]), new, m)
+                return
+        step = max(1, _BLOCK_BYTES // (8 * k))
+        for lo in range(0, n, step):
+            self._lower(slice(lo, lo + step), self.points[lo : lo + step], new, m)
+
+    def _lower(self, at, rows: np.ndarray, new: np.ndarray, m: int) -> None:
+        """Lower the distances of `rows`, the points at `at` (positions, or
+        a slice), to the new centers."""
+        i, j, sq = _closer_sq(rows, self.points_sq[at], new, self.min_sq[at])
+        i = i + at.start if isinstance(at, slice) else at[i]
+        if self.reach is None:  # no triangle test reads `near`
+            self.min_sq[i] = np.minimum(self.min_sq[i], sq)
+            return
+        fell = sq < self.min_sq[i]
+        i, sq = i[fell], sq[fell]
+        self.min_sq[i], self.near[i], self.reach[i] = sq, j[fell] + m, _reach(sq, rows.shape[1])
 
 
 def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b: int) -> np.ndarray:
@@ -178,31 +283,27 @@ def select_k_centers(pool_features: np.ndarray, labeled_features: np.ndarray, b:
     labeled set plus the picks so far. An empty labeled set leaves every
     distance infinite, so the first pick is position 0 by the tie rule.
 
-    Squared distances come from `_closer_sq`, one GEMM per block of pool
-    rows (about `_BLOCK_BYTES` of differences if every pair survives) and
-    one GEMV per pick. The argmax runs on the minima's square roots, so
-    distinct squares that round to one root still tie to the lowest position.
+    Squared distances come from `_Nearest`: one GEMM per block of pool rows
+    for the labeled set, then per pick only the rows the triangle
+    inequality cannot rule out. The argmax runs on the minima's square
+    roots, so distinct squares that round to one root still tie to the
+    lowest position.
     """
     pool = _array(pool_features, "pool features", 2)
     labeled = _array(labeled_features, "labeled features", (None, pool.shape[1])) if len(labeled_features) else None
     _check_budget(b, len(pool))
 
-    pool_sq = (pool**2).sum(axis=1)
-    min_sq = np.full(len(pool), np.inf)
+    nearest = _Nearest(pool, b + (0 if labeled is None else len(labeled)))
     if labeled is not None:
-        rows = max(1, _BLOCK_BYTES // max(labeled.nbytes, 1))
-        for lo in range(0, len(pool), rows):
-            i, sq = _closer_sq(pool[lo : lo + rows], pool_sq[lo : lo + rows], labeled, min_sq[lo : lo + rows])
-            np.minimum.at(min_sq, lo + i, sq)
-    min_d = np.sqrt(min_sq)
+        nearest.add(labeled)
+    min_d = np.sqrt(nearest.min_sq)
 
     chosen = np.empty(b, dtype=np.int64)
     for step in range(b):
         pick = int(np.argmax(min_d))
         chosen[step] = pick
-        i, sq = _closer_sq(pool, pool_sq, pool[pick : pick + 1], min_sq)
-        min_sq[i] = np.minimum(min_sq[i], sq)
-        min_d[i] = np.sqrt(min_sq[i])
+        nearest.add(pool[pick : pick + 1])
+        np.sqrt(nearest.min_sq, out=min_d)
         min_d[chosen[: step + 1]] = -np.inf
     return chosen
 
@@ -238,8 +339,9 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
     chosen = [int(g.integers(n))]
     taken = np.zeros(n, dtype=bool)
     taken[chosen[0]] = True
-    emb_sq = (emb**2).sum(axis=1)
-    sq_d = ((emb - emb[chosen[0]]) ** 2).sum(axis=1)
+    nearest = _Nearest(emb, b)
+    nearest.add(emb[chosen[0] : chosen[0] + 1])
+    sq_d = nearest.min_sq
     while len(chosen) < b:
         remaining = np.flatnonzero(~taken)
         w = sq_d[remaining]
@@ -250,8 +352,7 @@ def select_kmeanspp(embeddings: np.ndarray, b: int, seed: int) -> np.ndarray:
             pick = int(g.choice(remaining, p=w / total))
         chosen.append(pick)
         taken[pick] = True
-        i, sq = _closer_sq(emb, emb_sq, emb[pick : pick + 1], sq_d)
-        sq_d[i] = np.minimum(sq_d[i], sq)
+        nearest.add(emb[pick : pick + 1])
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -331,7 +432,8 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     n / rows + 1 blocks, each summing at most `rows` terms in [0, 1] into a
     partial sum below n + 1. So only candidates within 2 `slack` of the
     best total can win. Each gets its column, summed in order, and ties go
-    to the lowest position.
+    to the lowest position. Bit-identical unit rows give bit-identical
+    columns, so of those only the lowest position is verified.
     """
     pool = _array(pool_features, "pool features", 2)
     n, w = pool.shape
@@ -352,8 +454,11 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
     for step in range(b):
         total = cover.sum()
         gain = np.where(live, tot - total, -np.inf)
-        best = -np.inf
+        best, seen = -np.inf, set()
         for j in np.flatnonzero(gain >= gain.max() - 2 * slack):
+            if unit[j].tobytes() in seen:  # the same column as a lower position's, which won the tie
+                continue
+            seen.add(unit[j].tobytes())
             col = np.clip(unit @ unit[j], -1.0, 1.0)
             exact = np.cumsum(np.maximum(col, cover))[-1] - total
             if exact > best:

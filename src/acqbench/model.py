@@ -223,7 +223,7 @@ def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor
         mask = _dropout_mask(p, stream(mc.seed, NS_MC, k), n, drop) if p.dropout else 1.0
         _forward(p.weights, X, mask, first, (drop, hid, passes[k]))
         _softmax(passes[k])
-    return ProbabilityTensor(passes)
+    return ProbabilityTensor._of_softmax(passes)
 
 
 def features(p: ModelParams, X: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,8 +360,9 @@ def _selector_fixtures():
     cosines), rounded features (ties), duplicated rows and nonnegative
     rounded features with all-zero rows; labeled sets of 0, 1 or several
     rows; and budgets 0, 1, n and one drawn in between. Then pools one row
-    short of, at, and one row past k-centers' block of rows, and past two
-    blocks, for a 64 x 128 labeled set.
+    short of, at, and one row past k-centers' block of rows (as many rows
+    as fill `_BLOCK_BYTES` with one bound per labeled row), and past two
+    blocks, for a 192 x 16 labeled set.
     """
     g = np.random.default_rng(12)
     for i in range(240):
@@ -382,10 +384,10 @@ def _selector_fixtures():
             labeled = np.round(g.normal(size=(n_lab, w)), shape % 2)
         b = (0, 1, n, int(g.integers(0, n + 1)))[(i // 12) % 4]
         yield pool, labeled, b
-    labeled = np.round(g.normal(size=(64, 128)), 1)
-    rows = _BLOCK_BYTES // labeled.nbytes
+    labeled = np.round(g.normal(size=(192, 16)), 1)
+    rows = _BLOCK_BYTES // (8 * len(labeled))
     for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        pool = np.round(g.normal(size=(n, 128)), 1)
+        pool = np.round(g.normal(size=(n, 16)), 1)
         pool[::7] = labeled[: len(pool[::7])]
         yield pool, labeled, n
 
@@ -437,6 +439,29 @@ def _pruning_fixtures():
         yield pool, labeled, n
 
 
+def _reach_fixtures():
+    """Seeded (pool, labeled, b) cases where the triangle-inequality test of
+    `_Nearest` is tightest or degenerate, each picked to the last row.
+
+    Integer points on a line and on a grid, where a later center lies
+    exactly twice a row's distance from the row's nearest center and every
+    distance is computed exactly; duplicated centers and rows; rows offset
+    by 1e8 from the origin; width 1; and an empty labeled set.
+    """
+    g = np.random.default_rng(23)
+    line = np.arange(21.0)[:, None] * [3.0, 4.0]
+    yield line, line[:1], len(line)
+    grid = np.stack(np.meshgrid(np.arange(-6.0, 7.0), np.arange(-6.0, 7.0)), axis=-1).reshape(-1, 2)
+    yield grid, np.zeros((1, 2)), len(grid)
+    base = g.normal(size=(6, 3))
+    yield base[g.integers(0, 6, size=40)], base[[0, 0, 1, 1]], 40
+    yield 1e8 + g.normal(size=(50, 4)), 1e8 + g.normal(size=(5, 4)), 50
+    yield 1e8 + np.round(g.normal(size=(50, 2)) * 4), 1e8 + np.zeros((2, 2)), 50
+    yield g.normal(size=(60, 1)), g.normal(size=(3, 1)), 60
+    yield np.round(g.normal(size=(60, 1)) * 3), np.zeros((1, 1)), 60
+    yield g.normal(size=(40, 5)), np.zeros((0, 5)), 40
+
+
 def _polygon_pools():
     """Regular polygons of 13 to 36 vertices, alone and with copies of every
     third vertex appended."""
@@ -469,6 +494,14 @@ def _brute_force_farthest_first(pool, labeled, b):
     return np.array(chosen)
 
 
+@pytest.fixture(params=["every size", "large sets"])
+def pruning(request, monkeypatch):
+    """Run a test with the triangle test of `_Nearest` on every point set,
+    as well as only on the sets as large as `_PRUNE_BYTES`."""
+    if request.param == "every size":
+        monkeypatch.setattr(acquisition, "_PRUNE_BYTES", 0)
+
+
 class TestCloserSq:
     def test_keeps_every_pair_that_can_beat_current(self):
         # each center's nearest quarter of rows beats a current one ulp above
@@ -479,9 +512,55 @@ class TestCloserSq:
             for j in range(0, len(labeled), 3):
                 near = exact[:, j] <= np.quantile(exact[:, j], 0.25)
                 current = np.where(near, np.nextafter(exact[:, j], np.inf), exact[:, j] / 2)
-                i, sq = acquisition._closer_sq(pool, (pool**2).sum(axis=1), labeled[j : j + 1], current)
+                i, jj, sq = acquisition._closer_sq(pool, (pool**2).sum(axis=1), labeled[j : j + 1], current)
                 assert set(np.flatnonzero(near)) <= set(i.tolist())
+                np.testing.assert_array_equal(jj, np.zeros_like(i))
                 np.testing.assert_array_equal(sq, exact[i, j])
+
+
+class TestNearest:
+    def test_every_center_matches_a_full_recomputation(self, pruning):
+        # a row the triangle inequality rules out must not have a strictly
+        # closer new center: after each center, every row's minimum holds
+        # the bits of recomputing all its distances, and where the test runs,
+        # its `near` center lies at exactly that distance
+        g = np.random.default_rng(24)
+        for pool, labeled, _ in itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures()):
+            nearest = acquisition._Nearest(pool, len(labeled) + len(pool))
+            want = np.full(len(pool), np.inf)
+            if len(labeled):
+                nearest.add(labeled)
+                want = ((pool[:, None] - labeled) ** 2).sum(axis=-1).min(axis=1)
+            for c in g.permutation(len(pool)):
+                nearest.add(pool[c : c + 1])
+                want = np.minimum(want, ((pool - pool[c]) ** 2).sum(axis=1))
+                np.testing.assert_array_equal(nearest.min_sq, want)
+                if nearest.reach is not None:
+                    at = np.isfinite(want)
+                    near_sq = ((pool - nearest.centers[nearest.near]) ** 2).sum(axis=1)
+                    np.testing.assert_array_equal(near_sq[at], want[at])
+
+    def test_reach_covers_the_worst_rounding(self):
+        # the least cc that `_reach` rules out, taken at its worst under the
+        # rounding model (every distance off by g relative and w subnormals),
+        # still puts the new center 4 M from the row's nearest one, M the
+        # largest the row's own distance can be; the row then cannot get
+        # strictly closer. Rows at zero, subnormal, tiny and huge minima
+        u, s = Fraction(1, 2**53), Fraction(2) ** -1074
+        for w in (1, 2, 3, 16, 96, 512, 10**6, 10**7 - 1):
+            g = (w + 2) * u / (1 - (w + 2) * u)
+            for min_sq in (0.0, 5e-324, 1e-310, 2.3e-308, 1e-200, 0.75, 1.0, 3.7, 1e100, 1e300, 1e308):
+                with np.errstate(over="ignore"):
+                    reach = acquisition._reach(np.array([min_sq]), w)[0]
+                if reach == np.inf:
+                    continue  # nothing is ruled out
+                cc = Fraction(np.nextafter(reach, np.inf))
+                assert (cc - w * s) / (1 + g) >= 4 * (Fraction(min_sq) + w * s) / (1 - g), (w, min_sq)
+
+    def test_reach_keeps_a_center_at_exactly_twice_the_distance(self):
+        # (3, 4) lies 5 from (0, 0) and from (6, 8), which lies 10 from (0, 0):
+        # kept, by a margin of rounding size
+        assert 100.0 <= acquisition._reach(np.array([25.0]), 2)[0] < 100.0 * (1 + 1e-12)
 
 
 class TestKCenters:
@@ -520,6 +599,15 @@ class TestKCenters:
 
     def test_matches_reference_where_bounds_are_weakest(self):
         for pool, labeled, b in _pruning_fixtures():
+            np.testing.assert_array_equal(
+                select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
+            )
+
+    def test_matches_reference_where_pruning_is_tightest(self, pruning):
+        # with the triangle test on every set, the selector and pruning
+        # fixtures too
+        cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())
+        for pool, labeled, b in cases:
             np.testing.assert_array_equal(
                 select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
             )
@@ -625,9 +713,34 @@ class TestKMeansPP:
                 k = min(b, len(emb))
                 np.testing.assert_array_equal(select_kmeanspp(emb, k, seed), _reference_kmeanspp(emb, k, seed))
 
+    def test_matches_reference_where_pruning_is_tightest(self, pruning):
+        cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())
+        for seed, (pool, labeled, b) in enumerate(cases):
+            for emb in (pool, labeled):
+                k = min(b, len(emb))
+                np.testing.assert_array_equal(select_kmeanspp(emb, k, seed), _reference_kmeanspp(emb, k, seed))
+
     def test_deterministic_given_seed(self):
         emb = np.random.default_rng(2).normal(size=(9, 4))
         np.testing.assert_array_equal(select_kmeanspp(emb, 4, 5), select_kmeanspp(emb, 4, 5))
+
+    def test_memory_below_half_the_embeddings(self):
+        # nearly every row survives the second pick's triangle test, so
+        # gathering the survivors into new arrays, or one [n, w] temporary
+        # of any kind, would pass half of the embeddings' bytes
+        emb = np.random.default_rng(16).normal(size=(2500, 192))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            select_kmeanspp(emb, 50, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < emb.nbytes / 2
 
 
 class TestFacilityLocation:
@@ -722,6 +835,24 @@ class TestFacilityLocation:
         monkeypatch.setattr(np, "cumsum", counted_cumsum)
         np.testing.assert_array_equal(select_facility_location(pool, b), [10])
         assert summed == [n, n]  # rows 10 and 11, each summed in order
+
+    def test_duplicated_rows_verified_once_per_distinct_row(self, monkeypatch):
+        # a thousand copies of one row tie exactly, so all are near-best at
+        # the first step; only the lowest copy's column is summed, and the
+        # picks still equal the column reference's
+        g = np.random.default_rng(33)
+        pool = np.repeat(np.abs(g.normal(size=(1, 96))), 1000, axis=0)
+        pool = np.insert(pool, [0, 250, 500, 1000], np.abs(g.normal(size=(4, 96))), axis=0)
+        want = _column_facility_location(pool, 8)
+        summed, cumsum = [], np.cumsum
+
+        def counted_cumsum(a, **kwargs):
+            summed.append(len(a))
+            return cumsum(a, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted_cumsum)
+        np.testing.assert_array_equal(select_facility_location(pool, 8), want)
+        assert len(summed) <= 8 * 5  # at most one column per distinct row and step
 
     def test_memory_linear_in_candidates(self):
         # the n x n similarity matrix alone would be 122 MiB here

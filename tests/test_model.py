@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from acqbench import model
+from acqbench.acquisition import ProbabilityTensor
 from acqbench.model import (
     MCConfig,
     ModelParams,
@@ -294,6 +295,27 @@ class TestMCPredict:
             if started:
                 tracemalloc.stop()
         assert peak < (3.5 * n * hidden + 3 * k * n * 3) * 8
+
+    def test_stack_handed_over_without_a_copy(self):
+        # the public constructor's copy and range scan would add more than
+        # another stack of 36 classes; the stack itself comes back read-only
+        n, hidden, k, classes = 2500, 96, 5, 36
+        p = init_model(4, hidden, classes, dropout=0.15, seed=11)
+        X = np.random.default_rng(8).normal(size=(n, 4))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            t = mc_predict(p, X, MCConfig(n_passes=k, seed=13))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < (3.5 * n * hidden + 1.5 * k * n * classes) * 8
+        assert not t.data.flags.writeable
+        assert isinstance(t, ProbabilityTensor)
 
 
 class TestFeatures:
