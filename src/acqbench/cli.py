@@ -108,14 +108,14 @@ def _load_config(path: str) -> dict:
 
 
 def _run_strategy(
-    cfg: dict, strategy_spec: dict, seeds: list[int], out_root: Path, jobs: int, timings: bool
+    cfg: dict, strategy_spec: dict, seeds: list[int], out_root: Path, jobs: int
 ) -> tuple[str, list[RunRecord]]:
     """Sweep one strategy spec over seeds and write its per-seed artifacts."""
     exp = build_experiment({**cfg, "strategy": strategy_spec}, seeds[0])
     records = sweep(exp, seeds, jobs=jobs)
     name = records[0].strategy
     for rec in records:
-        write_record(rec, out_root / name / str(rec.seed), include_timings=timings)
+        write_record(rec, out_root / name / str(rec.seed))
     return name, records
 
 
@@ -125,27 +125,19 @@ def table_csv_text(table: AccuracyTable) -> str:
     return csv_text([["round", *(f"seed_{s}" for s in table.seeds)], *rows])
 
 
-def curve_csv_text(records: list[RunRecord], include_timings: bool = False) -> str:
-    """Accuracy-vs-cost curve aggregated over seeds.
-
-    The deterministic cost axis is the cumulative inference count; wall
-    time columns are present but filled only on request since they are
-    machine noise.
-    """
+def curve_csv_text(records: list[RunRecord]) -> str:
+    """Accuracy-vs-cost curve aggregated over seeds; the cost axis is the
+    cumulative inference count."""
     header = [
         "round",
         "n_labeled",
         "mean_accuracy",
         "median_accuracy",
         "mean_cum_n_infer",
-        "mean_cum_acq_ms",
-        "mean_cum_train_ms",
     ]
     n_rounds = len(records[0].rows)
     accs = np.array([[r.rows[t].test_accuracy for r in records] for t in range(n_rounds)])
     infer = np.array([[r.rows[t].n_infer for r in records] for t in range(n_rounds)]).cumsum(axis=0)
-    acq = np.array([[r.rows[t].acq_ms for r in records] for t in range(n_rounds)]).cumsum(axis=0)
-    train = np.array([[r.rows[t].train_ms for r in records] for t in range(n_rounds)]).cumsum(axis=0)
     rows = (
         [
             t + 1,
@@ -153,8 +145,6 @@ def curve_csv_text(records: list[RunRecord], include_timings: bool = False) -> s
             repr(float(accs[t].mean())),
             repr(float(np.median(accs[t]))),
             repr(float(infer[t].mean())),
-            repr(float(acq[t].mean())) if include_timings else "",
-            repr(float(train[t].mean())) if include_timings else "",
         ]
         for t in range(n_rounds)
     )
@@ -165,7 +155,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
     out = Path(args.out or cfg["output_dir"])
-    name, records = _run_strategy(cfg, cfg["strategy"], [seed], out, jobs=1, timings=args.timings)
+    name, records = _run_strategy(cfg, cfg["strategy"], [seed], out, jobs=1)
     rec = records[0]
     print(f"{name} seed={seed}: final accuracy {rec.final_accuracy:.4f} after {len(rec.rows)} rounds")
     print(f"wrote {out / name / str(seed)}")
@@ -176,7 +166,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg["seeds"]
     out = Path(args.out or cfg["output_dir"])
-    name, records = _run_strategy(cfg, cfg["strategy"], seeds, out, jobs=_jobs(args), timings=args.timings)
+    name, records = _run_strategy(cfg, cfg["strategy"], seeds, out, jobs=_jobs(args))
     finals = [r.final_accuracy for r in records]
     print(f"{name}: {len(records)} seeds, median final accuracy {float(np.median(finals)):.4f}")
     print(f"wrote {out / name}")
@@ -210,7 +200,9 @@ def _discover_tables(root: Path) -> list[AccuracyTable]:
 
 
 def _write_heatmap(tables: list[AccuracyTable], out: Path, critical: float) -> None:
-    hm = compute_heatmap(tables, critical)
+    """heatmap.csv and heatmap.svg, strategies in name order whatever order
+    the tables come in, so `toy` and `compare` write the same bytes."""
+    hm = compute_heatmap(sorted(tables, key=lambda table: table.name), critical)
     atomic_write_text(out / "heatmap.csv", heatmap_csv_text(hm))
     atomic_write_text(out / "heatmap.svg", heatmap_svg_text(hm))
 
@@ -259,8 +251,8 @@ def _cmd_ablate(args) -> int:
         validate_config({**cfg, "strategy": spec})
     for subtree, value, spec in zip(subtrees, values, specs):
         sub = out / subtree
-        name, records = _run_strategy(cfg, spec, seeds, sub, jobs=_jobs(args), timings=args.timings)
-        atomic_write_text(sub / "curve.csv", curve_csv_text(records, include_timings=args.timings))
+        name, records = _run_strategy(cfg, spec, seeds, sub, jobs=_jobs(args))
+        atomic_write_text(sub / "curve.csv", curve_csv_text(records))
         finals = [r.final_accuracy for r in records]
         print(
             f"{args.parameter}={value:g} ({name}): median final accuracy "
@@ -283,7 +275,7 @@ def _cmd_toy(args) -> int:
     tables = []
     selections = [["strategy", "seed", "round", "index", "x0", "x1", "label"]]
     for spec in TOY_STRATEGIES:
-        name, records = _run_strategy(cfg, spec, seeds, out, jobs=_jobs(args), timings=args.timings)
+        name, records = _run_strategy(cfg, spec, seeds, out, jobs=_jobs(args))
         table = _strategy_table(name, [out / name / str(seed) for seed in seeds])
         tables.append(table)
         atomic_write_text(out / name / "accuracy_table.csv", table_csv_text(table))
@@ -313,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="override output directory")
         if jobs:
             p.add_argument("--jobs", type=int, default=None, help="worker processes (default $ACQBENCH_JOBS or 1)")
-        p.add_argument("--timings", action="store_true", help="fill wall-time CSV columns (breaks byte-determinism)")
 
     p_run = sub.add_parser("run", help="run one experiment (first config seed by default)")
     add_common(p_run, jobs=False)

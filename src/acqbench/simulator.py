@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -47,21 +46,15 @@ from .rng import (
 from .strategies import RoundState, Strategy, build_strategy
 
 
-def _timing(cell: str) -> float | None:
-    return float(cell) if cell else None
-
-
 # record.csv: each column, a `RoundRow` field, with the parser of its
-# cells. Timing cells stay empty unless asked for: wall time is machine
-# noise and would break byte-identical re-runs.
+# cells. Every cell is a function of the config and seed alone, so reruns
+# write the same bytes.
 _RECORD_PARSERS = {
     "round": int,
     "n_labeled": int,
     "test_accuracy": float,
     "batch_loss_prev_model": float,
     "strategy_tag": str,
-    "acq_ms": _timing,
-    "train_ms": _timing,
     "n_infer": int,
 }
 RECORD_COLUMNS = tuple(_RECORD_PARSERS)
@@ -119,8 +112,6 @@ class RoundRow:
     test_accuracy: float
     batch_loss_prev_model: float
     strategy_tag: str
-    acq_ms: float
-    train_ms: float
     n_infer: int
     n_infer_mc: int
     n_infer_features: int
@@ -158,17 +149,15 @@ def oracle_label(ds: Dataset, indices: np.ndarray) -> np.ndarray:
     return ds.y[idx]
 
 
-def _fit(cfg: ExperimentConfig, labeled: np.ndarray, t: int) -> tuple[mdl.ModelParams, float, float]:
+def _fit(cfg: ExperimentConfig, labeled: np.ndarray, t: int) -> tuple[mdl.ModelParams, float]:
     """From-scratch fit on the labeled mask with round-derived seeds:
-    (params, train ms, test accuracy). The timing covers init and training."""
-    t0 = time.perf_counter()
+    (params, test accuracy)."""
     idx = np.flatnonzero(labeled)
     n_in, n_classes = cfg.train_ds.X.shape[1], cfg.train_ds.n_classes
     init = mdl.init_model(n_in, cfg.hidden, n_classes, cfg.dropout, seed=derive_seed(cfg.seed, NS_MODEL_INIT, t))
     tc = mdl.TrainConfig(lr=cfg.lr, epochs=cfg.epochs, minibatch=cfg.minibatch, seed=derive_seed(cfg.seed, NS_TRAIN, t))
     params = mdl.train(init, cfg.train_ds.X[idx], oracle_label(cfg.train_ds, idx), tc)
-    train_ms = (time.perf_counter() - t0) * 1000.0
-    return params, train_ms, mdl.accuracy(params, cfg.test_ds.X, cfg.test_ds.y)
+    return params, mdl.accuracy(params, cfg.test_ds.X, cfg.test_ds.y)
 
 
 @dataclass
@@ -191,7 +180,7 @@ def start(cfg: ExperimentConfig) -> Run:
     strategy.check_budget(cfg.budget, cfg.smallest_pool)
     labeled = np.zeros(len(cfg.train_ds), dtype=bool)
     labeled[stream(cfg.seed, NS_INIT_LABELED).choice(len(labeled), size=cfg.initial_labeled, replace=False)] = True
-    params, _, accuracy = _fit(cfg, labeled, 0)
+    params, accuracy = _fit(cfg, labeled, 0)
     return Run(cfg, strategy, labeled, params, accuracy)
 
 
@@ -205,9 +194,7 @@ def step(run: Run) -> RoundRow:
 
     mc = mdl.MCConfig(n_passes=cfg.n_passes, seed=derive_seed(cfg.seed, NS_MC, t))
     state = RoundState(run.params, cfg.train_ds.X, np.flatnonzero(run.labeled), mc, round_index=t, run_seed=cfg.seed)
-    t0 = time.perf_counter()
     batch = run.strategy.select(state, pool, cfg.budget, (cfg.seed, NS_ACQUIRE, t))
-    acq_ms = (time.perf_counter() - t0) * 1000.0
     batch = check_selection(pool, batch, cfg.budget)
     n_mc, n_features = state.n_mc, state.n_features
     del state  # its memo's stacks and features are not needed past selection
@@ -215,7 +202,7 @@ def step(run: Run) -> RoundRow:
     batch_loss = mdl.mean_cross_entropy(run.params, cfg.train_ds.X[batch], oracle_label(cfg.train_ds, batch))
     run.strategy.observe_loss(batch_loss)
     run.labeled[batch] = True
-    run.params, train_ms, accuracy = _fit(cfg, run.labeled, t)
+    run.params, accuracy = _fit(cfg, run.labeled, t)
 
     row = RoundRow(
         round=t,
@@ -223,8 +210,6 @@ def step(run: Run) -> RoundRow:
         test_accuracy=accuracy,
         batch_loss_prev_model=batch_loss,
         strategy_tag=run.strategy.last_tag,
-        acq_ms=acq_ms,
-        train_ms=train_ms,
         n_infer=n_mc + n_features,
         n_infer_mc=n_mc,
         n_infer_features=n_features,
@@ -281,15 +266,13 @@ def sweep(cfg: ExperimentConfig, seeds, jobs: int = 1) -> list[RunRecord]:
 # --- artifacts ---------------------------------------------------------------
 
 
-def record_csv_text(record: RunRecord, include_timings: bool = False) -> str:
-    """Render the per-round CSV; timing cells are empty unless asked for."""
-    blank = () if include_timings else [c for c, parse in _RECORD_PARSERS.items() if parse is _timing]
-    rows = ([("" if c in blank else getattr(r, c)) for c in RECORD_COLUMNS] for r in record.rows)
-    return csv_text([RECORD_COLUMNS, *rows])
+def record_csv_text(record: RunRecord) -> str:
+    """Render the per-round CSV."""
+    return csv_text([RECORD_COLUMNS, *([getattr(r, c) for c in RECORD_COLUMNS] for r in record.rows)])
 
 
 def record_summary(record: RunRecord) -> dict:
-    """JSON-ready run summary; always carries the measured wall times."""
+    """JSON-ready run summary."""
     return {
         "strategy": record.strategy,
         "seed": record.seed,
@@ -297,26 +280,24 @@ def record_summary(record: RunRecord) -> dict:
         "initial_accuracy": record.initial_accuracy,
         "final_accuracy": record.final_accuracy,
         "total_n_infer": record.total_inferences,
-        "total_acq_ms": sum(r.acq_ms for r in record.rows),
-        "total_train_ms": sum(r.train_ms for r in record.rows),
         "rounds": [asdict(r) for r in record.rows],
     }
 
 
-def write_record(record: RunRecord, out_dir: str | Path, include_timings: bool = False) -> Path:
+def write_record(record: RunRecord, out_dir: str | Path) -> Path:
     """Write record.csv and summary.json under out_dir; returns the dir."""
     out = Path(out_dir)
-    atomic_write_text(out / "record.csv", record_csv_text(record, include_timings))
+    atomic_write_text(out / "record.csv", record_csv_text(record))
     atomic_write_text(out / "summary.json", json.dumps(record_summary(record), indent=2, sort_keys=True) + "\n")
     return out
 
 
 def read_record_csv(path: str | Path) -> list[dict]:
-    """Parse a record.csv back into typed row dicts (timings may be None)."""
+    """Parse a record.csv back into typed row dicts."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != RECORD_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}, expected {list(RECORD_COLUMNS)}")
         rows = [{c: parse(raw[c]) for c, parse in _RECORD_PARSERS.items()} for raw in reader]
     if not rows:
         raise ValueError(f"{path}: no data rows")

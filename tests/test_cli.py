@@ -39,6 +39,11 @@ def _write_config(tmp_path, cfg=None, name="config.json"):
     return str(path)
 
 
+def _tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestValidateConfig:
     def test_fills_defaults(self):
         cfg = validate_config(
@@ -376,18 +381,32 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
+        # every file a run writes, summary.json included
         cfg_path = _write_config(tmp_path)
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "entropy" / "0" / "record.csv").read_bytes()
-        b = (tmp_path / "b" / "entropy" / "0" / "record.csv").read_bytes()
-        assert a == b
+        a = _tree_bytes(tmp_path / "a")
+        assert sorted(a) == ["entropy/0/record.csv", "entropy/0/summary.json"]
+        assert a == _tree_bytes(tmp_path / "b")
 
-    def test_timings_fill_cells(self, tmp_path):
-        main(["run", "--config", _write_config(tmp_path), "--timings"])
-        text = (tmp_path / "out" / "entropy" / "0" / "record.csv").read_text()
-        row = text.splitlines()[1].split(",")
-        assert float(row[5]) >= 0.0 and float(row[6]) > 0.0
+    @pytest.mark.parametrize("command, flags", [
+        ("run", []),
+        ("sweep", []),
+        ("ablate", ["--parameter", "rate", "--values", "1.5"]),
+        ("toy", ["--seeds", "0,1", "--rounds", "1"]),
+    ])
+    def test_timings_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, flags):
+        # records hold no wall times; bench/run.py --trace 1 reports them
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "sweep", no_runs)
+        where = ["--out", str(tmp_path / "out")] if command == "toy" else ["--config", _write_config(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *where, *flags, "--timings"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -691,13 +710,23 @@ class TestAblateCommand:
         assert "kappas" in capsys.readouterr().err
         assert not (tmp_path / "abl").exists()
 
+    def test_rerun_byte_identical(self, tmp_path):
+        # curve.csv, each record.csv and each summary.json
+        cfg_path = self._series_config(tmp_path)
+        for out in ("a", "b"):
+            main(["ablate", "--config", cfg_path, "--parameter", "kappa", "--values", "1,2",
+                  "--out", str(tmp_path / out)])
+        a = _tree_bytes(tmp_path / "a")
+        assert {name.rsplit("/", 1)[-1] for name in a} == {"curve.csv", "record.csv", "summary.json"}
+        assert a == _tree_bytes(tmp_path / "b")
+
     def test_curve_csv_is_well_formed(self, tmp_path):
         main(["ablate", "--config", self._series_config(tmp_path),
               "--parameter", "kappa", "--values", "2"])
         with open(tmp_path / "abl" / "kappa_2" / "curve.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:5] == ["round", "n_labeled", "mean_accuracy",
-                               "median_accuracy", "mean_cum_n_infer"]
+        assert rows[0] == ["round", "n_labeled", "mean_accuracy",
+                           "median_accuracy", "mean_cum_n_infer"]
         assert len(rows) == 3  # header + 2 rounds
         cum = [float(r[4]) for r in rows[1:]]
         assert cum == sorted(cum)
@@ -736,23 +765,13 @@ class TestToyCommand:
                 assert 0.0 < float(v) <= 1.0
 
     def test_heatmap_matches_compare_over_its_records(self, tmp_path):
-        # toy builds its tables from the records it wrote, as compare does;
-        # compare orders strategies by directory name, toy by TOY_STRATEGIES
+        # toy builds its tables from the records it wrote, as compare does,
+        # and both write them in name order
         out = tmp_path / "toy"
         assert main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "2", "--critical", "1.5"]) == 0
         assert main(["compare", str(out), "--out", str(tmp_path / "cmp"), "--critical", "1.5"]) == 0
-
-        def cells(path):
-            with open(path / "heatmap.csv", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            return {(row[0], col): cell for row in rows for col, cell in zip(header[1:], row[1:])}
-
-        assert cells(out) == cells(tmp_path / "cmp")
-        order = [spec["kind"] for spec in cli.TOY_STRATEGIES]
-        tables = sorted(cli._discover_tables(out), key=lambda table: order.index(table.name))
-        cli._write_heatmap(tables, tmp_path / "ordered", 1.5)
         for name in ("heatmap.csv", "heatmap.svg"):
-            assert (out / name).read_bytes() == (tmp_path / "ordered" / name).read_bytes()
+            assert (out / name).read_bytes() == (tmp_path / "cmp" / name).read_bytes()
 
     def test_stale_out_stays_out_of_its_tables(self, tmp_path):
         # only the strategies and seeds this run ran reach its tables
@@ -762,7 +781,7 @@ class TestToyCommand:
         shutil.copy(out / "random" / "0" / "record.csv", out / "other" / "0" / "record.csv")
         assert main(["toy", "--out", str(out), "--seeds", "0,1", "--rounds", "1"]) == 0
         with open(out / "heatmap.csv", newline="") as fh:
-            assert [row[0] for row in csv.reader(fh)] == ["strategy", "random", "least_confident", "k_centers"]
+            assert [row[0] for row in csv.reader(fh)] == ["strategy", "k_centers", "least_confident", "random"]
         for name in ("random", "least_confident", "k_centers"):
             with open(out / name / "accuracy_table.csv", newline="") as fh:
                 rows = list(csv.reader(fh))

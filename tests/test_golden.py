@@ -1,17 +1,17 @@
 """Golden digests: one tiny run per strategy kind, pinned byte for byte.
 
 Each case runs `run_experiment` on a small grid toy and hashes the run's
-strategy name, its record.csv text (timing cells empty) and the indices
-selected in every round. The three nested trees put the order-sensitive
-`disparity_min` (it seeds on the first candidate it is given) under a
-structure, so they pin the candidate order each structure hands down.
+strategy name, its record.csv text and the indices selected in every
+round. The three nested trees put the order-sensitive `disparity_min` (it
+seeds on the first candidate it is given) under a structure, so they pin
+the candidate order each structure hands down. Two more pins hold the
+bytes of both files `write_record` writes for the series case.
 
 A pin may change only in a change that says why in CHANGES.md.
 """
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -66,27 +66,27 @@ SPECS = {
 
 # sha256 over strategy name, record.csv and the selected indices.
 PINS = {
-    "annealing": "99d89c688320637ec34130ee59932a8fa89573c9be0ebd7db1f1c855be322215",
-    "badge": "ab3f1a29c2abc978080f15b73f96cff9b59086608ee2a3610f520a18e0f14da5",
-    "bald": "c61cf058179bffef0d2f05d3e461dbce0c620c279b0c6a044d5514346135841b",
-    "disparity_min": "eee60765731c9953afc8656d7181e8f429ba31b90a18662f7e2ffbb074e88664",
-    "entropy": "44492f2e8ae8549147acc50326685d5b80a9165c638ea3824ec5a45f8900fa68",
-    "facility_location": "5bcaf8bcd0a8477fe4389d9b86cc18f6d236a3d8be614227eb2680a69e32613d",
-    "feedback": "9b0e2849b9a7d5711d1ea646f5141c04ee287c5494cbfa3b61fd9a1de43d5d02",
-    "hybrid": "323f245a7fbfdeba530179b0432761d7707302565722dde91ff6896f8d6250c6",
-    "k_centers": "f1d67b2053566407b13ee98165f64b543bef36228fc8d40bbe0403348b4287ad",
-    "least_confident": "81cddedcc8f8072fc83622d01319c113fbfa3fc9a8b660d5b34f97a4148ed7ae",
-    "margin": "178f22368a722bbbba01f1f1e5d08acc1abf74db787ebaf8012f28af8d573501",
-    "mean_std": "c2ca2a206a27b358bd39141468a68900ae6322b59972dec86fb3cb0383e3a59c",
-    "parallel": "4fe403e6677e1b9e4268251b6bf92a2c26f0b47b435c056bec2eadc6afbb1b0f",
-    "parallel_ranked": "4261bfb4e28012b1712d5663f9feaf2297140c0b3bcfab28c16636bf20ec322e",
-    "power_bald": "389f1ea580f93ce3d14d8e5f8af944031d8ab9d8d79e7bad907b30389859c13a",
-    "random": "1b0fa79c7cedea53c5d09733ba06cda14980b674f892d44240691d04ae37fbb6",
-    "random_alternate": "46e828cd8a4b3d8695f6d0ba8876827f76c3a8c13f249b5900f1718771bc3304",
-    "series": "3f5747052fcb29b6b77184a7cd72c878e55acdf9832be6eb78135f50e138bc40",
-    "series_badge_parallel": "3999ded21f2e71b00d9eff31d4a92526deb84509b27ddb4ffe3327f889de24ed",
-    "series_bald_hybrid": "678ef8abef72d5449aa19847a4a83712038733ebcb9b7c26952788293098a571",
-    "series_k_centers_feedback": "f6958a56c4b9789d06c897cebe871e7d505cfb5c3976a14535a9892dd6daa923",
+    "annealing": "8b30721a9ba6216be294315d1fd7d6424f02ac09b5d171a51487a5b07283e71f",
+    "badge": "1291bdf1281d90e2bf088331d97ae3fa839c34c490ffbae0dce29505f62b0390",
+    "bald": "e18eb44d33e35d488b819b220c933a81936fe157871c389f81490fa9924240e0",
+    "disparity_min": "6d9ba8adeca2ef276e468eab245902dd007bb3de3546779d8029ca888b255046",
+    "entropy": "b1233736d54628cc41ef295377eb789ca30e5702a67c9597e3ad90e49efcf51f",
+    "facility_location": "807a87b6a4ecaec863723359f95bad3144cff453fae60dc9e5a364b7c9b5b86d",
+    "feedback": "62cace9bbed040209d91ce3cd9fdbd69fbe5c03a6de49ca53db4f06777ef1648",
+    "hybrid": "cbc734db36fb7482b29d16bc0cfaed8fdec085b8c46a67b35fe8f8a1adb7dcda",
+    "k_centers": "0603cbf3aab237e842ddae559a0635485071668885773dd68b446e8006d7b5bf",
+    "least_confident": "cdc379815d0e8fa8ff6e5a5012fa125788caef88b1b1067d9b3d5706d8538176",
+    "margin": "b2ce782832059f21c0699055438e4323efdbaa23a8fde03e828e1657def70133",
+    "mean_std": "4e9d425fc0f2a7fdf646308182a98d4972555681934e6386718907f8ccafb723",
+    "parallel": "9c407038f26d69228e8a753d2c899a3eb75161f83d79d4996e199b0a8f4dfbdf",
+    "parallel_ranked": "11695c1525b474fda56410389739ea5b4c4d6186465a8e57cac27f00e01df99f",
+    "power_bald": "6efccb72d864fc509b09aaef6ca2850384bcd3126d406e6133cc18367aafcb55",
+    "random": "4ce038358c881d9ef2fe5c8fc463f2b0296f223cb568479e8dedb1ec9e290338",
+    "random_alternate": "470dd6adf8056b2b1e12ebe650b399b084628b18cdb4cdb8a048212a561b648c",
+    "series": "b2129e1f1d511a80c469839c1c1dd5e13f5cf4614f67d79e96b55b8d42a5342f",
+    "series_badge_parallel": "232d1a455ff2de8451e1bac3673bb6b7c95eeef13adeecd365ef31b45464983a",
+    "series_bald_hybrid": "c33302d24770adc5ae716aa1eba6855df996740c3693e9d7f8496f96e105c200",
+    "series_k_centers_feedback": "ffdbeb4f9749fb2b41c5493ff5cd0cf258aed56e75898112f53536be59f5426b",
 }
 
 
@@ -96,10 +96,10 @@ PINS = {
 # covers per step and k-means++ (badge) prunes its distance updates over
 # many picks.
 POOL_PINS = {
-    "badge": "1966d988d2677aba0467903c595516cd6b3a5bdc5c34e774a3b65c808b7219d2",
-    "facility_location": "57f0e8d8af7f93bd59765f13f3d818415e52f31385a6c2e454eae0152c169900",
-    "k_centers": "784f99e5e7811794ad34333a9b320a29586e70e438c440255889a932ab52901f",
-    "series": "db425c281930441132cb49e0990d69e91b14f8d8c82385a71eca655e693ca4e7",
+    "badge": "e6b7d2cd13e1f3769b0a88a741d73f7c919dbcd97870f684b48c86252bbcba94",
+    "facility_location": "20e10cf84f7df98874cbfc0aa36f2291a42d96c178c3e18664a1cbdacd7ca30a",
+    "k_centers": "4cd048e275e55f4d2d31450e679e0e5ca53f666a06d2501d78eba7f8924828aa",
+    "series": "89dc457cec76a6ddcf923f80bcf428f98e7da028df49ff58152d77961d9d6b76",
 }
 
 
@@ -152,31 +152,14 @@ def test_derived_name_passes_the_name_rule(case):
     assert build_strategy({**SPECS[case], "name": name}).name == name
 
 
-def _fixed_timings(record):
-    """The record with each round's wall times replaced by fixed values."""
-    rows = tuple(replace(r, acq_ms=1.5 * r.round, train_ms=0.25 + r.round) for r in record.rows)
-    return replace(record, rows=rows)
-
-
-def _series_record():
-    train_ds, test_ds = split(make_grid_toy(4, 10, 0.12, seed=0), 0.25, seed=1)
-    cfg = ExperimentConfig(
-        train_ds=train_ds, test_ds=test_ds, strategy_spec=SPECS["series"], seed=3, hidden=8,
-        dropout=0.3, lr=0.1, epochs=3, minibatch=16, n_passes=3, initial_labeled=8, rounds=3,
-        budget=4, pool_size=40,
-    )
-    return _fixed_timings(run_experiment(cfg))
-
-
-# sha256 of the files `write_record` writes for the series case, wall
-# times fixed: summary.json, and record.csv with its timing cells filled.
+# sha256 of the files `write_record` writes for the series case.
 ARTIFACT_PINS = {
-    "record.csv": "7a0ee579cde3a0f9d581b063924969fe4d082618528be421c02275a5133700c1",
-    "summary.json": "c693d7fcb771eff86a0b84cb1cea6691b9f8b75de19232af5c274f327f22b357",
+    "record.csv": "4d21838f9090c2c9f00cef5f91167dddca03da4a0870ad34b41674df80da9ae6",
+    "summary.json": "c328a3a2180335f6e280a3c070fd0f155812d263e294d5766e5657b93dece0f1",
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
-def test_golden_artifact_with_timings(tmp_path, name, pin_note):
-    out = write_record(_series_record(), tmp_path, include_timings=True)
+def test_golden_artifact(tmp_path, name, pin_note):
+    out = write_record(_record(SPECS["series"]), tmp_path)
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_PINS[name], pin_note

@@ -1,7 +1,9 @@
 """Tests for the active-learning loop, its artifacts, and seed handling."""
 
 import json
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from acqbench import simulator
 from acqbench.datasets import Dataset, make_blobs
 from acqbench.rng import NS_INIT_LABELED, NS_MODEL_INIT, NS_TRAIN, derive_seed, stream
 from acqbench.simulator import (
+    RECORD_COLUMNS,
     ExperimentConfig,
     RoundRow,
     RunRecord,
@@ -46,14 +49,6 @@ def _config(strategy_spec, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def _strip_timings(record):
-    return [
-        (r.round, r.n_labeled, r.test_accuracy, r.batch_loss_prev_model,
-         r.strategy_tag, r.n_infer, r.selected)
-        for r in record.rows
-    ]
 
 
 class TestLoopBookkeeping:
@@ -97,14 +92,13 @@ class TestLoopBookkeeping:
     def test_identical_reruns_match_exactly(self):
         cfg = _config({"kind": "k_centers"})
         a, b = run_experiment(cfg), run_experiment(cfg)
-        assert _strip_timings(a) == _strip_timings(b)
-        assert a.initial_accuracy == b.initial_accuracy
+        assert a == b
         assert record_csv_text(a) == record_csv_text(b)
 
     def test_seeds_change_the_run(self):
         a = run_experiment(_config({"kind": "random"}, seed=1))
         b = run_experiment(_config({"kind": "random"}, seed=2))
-        assert _strip_timings(a) != _strip_timings(b)
+        assert a.rows != b.rows
 
 
 def _alternator(kind, **params):
@@ -259,13 +253,13 @@ class TestSweep:
         recs = sweep(cfg, [1, 2])
         for rec in recs:
             solo = run_experiment(_config({"kind": "entropy"}, rounds=2, seed=rec.seed))
-            assert _strip_timings(rec) == _strip_timings(solo)
+            assert rec == solo
 
     def test_parallel_matches_sequential(self):
         cfg = _config({"kind": "random"}, rounds=2)
         seq = sweep(cfg, [1, 2, 3], jobs=1)
         par = sweep(cfg, [1, 2, 3], jobs=2)
-        assert [_strip_timings(r) for r in seq] == [_strip_timings(r) for r in par]
+        assert seq == par
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
@@ -277,11 +271,11 @@ class TestSweep:
 
     def test_range_and_numpy_seeds_accepted(self):
         cfg = _config({"kind": "random"}, rounds=1)
-        want = [_strip_timings(r) for r in sweep(cfg, [0, 1])]
+        want = sweep(cfg, [0, 1])
         for seeds in (range(2), np.arange(2)):
             recs = sweep(cfg, seeds)
             assert [type(r.seed) for r in recs] == [int, int]
-            assert [_strip_timings(r) for r in recs] == want
+            assert recs == want
 
     @pytest.mark.parametrize("seeds", [[True, 2], [np.bool_(True), 2]])
     def test_bool_seed_rejected(self, seeds):
@@ -300,13 +294,7 @@ class TestArtifacts:
             assert got["test_accuracy"] == want.test_accuracy
             assert got["batch_loss_prev_model"] == want.batch_loss_prev_model
             assert got["n_infer"] == want.n_infer
-            assert got["acq_ms"] is None
-
-    def test_round_trip_with_timings(self, tmp_path):
-        rec = run_experiment(_config({"kind": "margin"}, rounds=2))
-        rows = read_record_csv(write_record(rec, tmp_path / "r", include_timings=True) / "record.csv")
-        assert [(r["acq_ms"], r["train_ms"]) for r in rows] == [(w.acq_ms, w.train_ms) for w in rec.rows]
-        assert [r["strategy_tag"] for r in rows] == [w.strategy_tag for w in rec.rows]
+            assert got["strategy_tag"] == want.strategy_tag
 
     def test_nested_alternator_choice_reaches_record_csv(self, tmp_path):
         annealing = {"kind": "annealing", "params": {"t_initial": 1, "t_exploit": 1, "t_explore": 1, "rate": 1},
@@ -329,30 +317,25 @@ class TestArtifacts:
         assert len(summary["rounds"]) == 2
         assert summary["rounds"][0]["selected"] == list(rec.rows[0].selected)
 
-    def test_timings_included_on_request(self):
-        rec = run_experiment(_config({"kind": "random"}, rounds=1))
-        text = record_csv_text(rec, include_timings=True)
-        row = text.splitlines()[1].split(",")
-        assert float(row[5]) >= 0.0 and float(row[6]) > 0.0
-
-    def test_timings_excluded_by_default(self):
-        rec = run_experiment(_config({"kind": "random"}, rounds=1))
-        row = record_csv_text(rec).splitlines()[1].split(",")
-        assert row[5] == "" and row[6] == ""
-
     def test_unexpected_columns_rejected(self, tmp_path):
+        # one format: a record with wall-time columns is refused too, and
+        # the error names the columns a record must have
+        expected = re.escape(f"expected {list(RECORD_COLUMNS)}")
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=expected):
+            read_record_csv(p)
+        p.write_text("round,n_labeled,test_accuracy,batch_loss_prev_model,strategy_tag,acq_ms,train_ms,n_infer\n"
+                     "1,9,0.5,0.7,x,,,0\n")
+        with pytest.raises(ValueError, match=expected):
             read_record_csv(p)
 
 
 class TestRecordTypes:
     def _row(self, t):
         return RoundRow(round=t, n_labeled=10, test_accuracy=0.5,
-                        batch_loss_prev_model=0.7, strategy_tag="x", acq_ms=0.0,
-                        train_ms=0.0, n_infer=0, n_infer_mc=0, n_infer_features=0,
-                        selected=(1, 2))
+                        batch_loss_prev_model=0.7, strategy_tag="x", n_infer=0,
+                        n_infer_mc=0, n_infer_features=0, selected=(1, 2))
 
     def test_rounds_must_be_contiguous(self):
         with pytest.raises(ValueError):
@@ -401,3 +384,16 @@ class TestConfigValidation:
         monkeypatch.setattr(mdl, "train", no_training)
         with pytest.raises(ValueError, match=rf"^{field} must be "):
             _config({"kind": "random"}, **{field: value})
+
+
+class TestNoWallClock:
+    def test_no_module_reads_a_wall_clock(self):
+        # every artifact is a function of config and seed; wall times are
+        # measured from outside, by bench/run.py --trace 1
+        pattern = re.compile(r"^\s*(?:import time\b|from time import)|\btime\.(?:perf_counter|time|monotonic)", re.M)
+        offenders = [
+            f"{path.name}: {match.group(0).strip()}"
+            for path in sorted(Path(simulator.__file__).parent.rglob("*.py"))
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
