@@ -296,6 +296,21 @@ class TestArtifacts:
             assert got["n_infer"] == want.n_infer
             assert got["strategy_tag"] == want.strategy_tag
 
+    def test_round_trip_with_timings(self, tmp_path):
+        # wall times are not part of a record: two runs of one config write
+        # byte-identical record.csv files, no timing column comes back, and
+        # a request for timings is refused
+        cfg = _config({"kind": "margin"}, rounds=2)
+        rec = run_experiment(cfg)
+        first = write_record(rec, tmp_path / "a") / "record.csv"
+        second = write_record(run_experiment(cfg), tmp_path / "b") / "record.csv"
+        assert first.read_bytes() == second.read_bytes()
+        rows = read_record_csv(first)
+        assert all(set(r) == set(RECORD_COLUMNS) for r in rows)
+        assert [r["strategy_tag"] for r in rows] == [w.strategy_tag for w in rec.rows]
+        with pytest.raises(TypeError):
+            write_record(rec, tmp_path / "c", include_timings=True)
+
     def test_nested_alternator_choice_reaches_record_csv(self, tmp_path):
         annealing = {"kind": "annealing", "params": {"t_initial": 1, "t_exploit": 1, "t_explore": 1, "rate": 1},
                      "constituents": [{"kind": "random"}, {"kind": "bald"}]}
