@@ -24,10 +24,6 @@ from .rng import _array, _integer, _number, _read_only, stream
 # differences; under glibc's default 128 KiB mmap threshold, so a block's
 # arrays come from the heap rather than from freshly mapped pages.
 _BLOCK_BYTES = 96 << 10
-# Smaller point sets are bounded whole at every new center: on 290 x 48
-# embeddings (0.1 MB) the triangle test costs more than it saves, on
-# 2,500 x 96 features (1.9 MB) it halves the time of a pick.
-_PRUNE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -174,21 +170,13 @@ def _closer_sq(rows: np.ndarray, row_sq: np.ndarray, centers: np.ndarray, curren
     covers both (times 1 + 2^-20, plus 4w subnormals). A pair is skipped
     only when bound - slack > `current[i]`, first lowered to the row's least
     bound + slack; a NaN bound keeps it. Kept pairs get the full tensor's
-    bits, computed about `_BLOCK_BYTES` of differences at a time; when most
-    pass, every row gets its least over all centers instead, from one
-    broadcast per chunk of rows.
+    bits, computed about `_BLOCK_BYTES` of differences at a time.
     """
     w, fp = rows.shape[1], np.finfo(np.float64)
     norms = row_sq[:, None] + np.einsum("ij,ij->i", centers, centers)
     approx = norms - 2.0 * (rows @ centers.T)
     slack = (1 + 2.0**-20) * fp.eps / 2 * ((2 * w + 1) * norms + (w + 4) * np.abs(approx)) + 4 * w * fp.smallest_subnormal
     keep = ~(approx - slack > np.minimum(current, (approx + slack).min(axis=1))[:, None])
-    if 2 * np.count_nonzero(keep) > keep.size:  # one broadcast beats gathering most pairs
-        sq, step = np.empty(keep.shape), max(1, _BLOCK_BYTES // max(centers.nbytes, 1))
-        for lo in range(0, len(rows), step):
-            sq[lo : lo + step] = ((rows[lo : lo + step, None] - centers) ** 2).sum(axis=-1)
-        i, j = np.arange(len(rows)), sq.argmin(axis=1)
-        return i, j, sq[i, j]
     i, j = np.nonzero(keep)
     sq, step = np.empty(len(i)), max(1, _BLOCK_BYTES // max(8 * w, 1))
     for lo in range(0, len(i), step):
@@ -229,31 +217,28 @@ class _Nearest:
 
     The first `add` (the labeled set, or a first pick) bounds every point
     against its centers in blocks of rows whose bound arrays take about
-    `_BLOCK_BYTES`. When the points take at least `_PRUNE_BYTES`, each later
-    center c gets its squared distances to the centers so far, and a point
-    whose nearest center lies beyond its reach from c keeps its distance.
-    The rest are gathered into one buffer reused across calls; when more
-    than an eighth of the points remain, every point is bounded instead.
-    `_closer_sq` computes each distance a bound keeps exactly, so `min_sq`
-    holds the bits of a full recomputation, and only a strictly smaller
-    distance moves it.
+    `_BLOCK_BYTES`. Each later center c gets its squared distances to the
+    centers so far, and a point whose nearest center lies beyond its reach
+    from c keeps its distance. The rest are gathered into one buffer reused
+    across calls; when more than an eighth of the points remain, every point
+    is bounded instead. `_closer_sq` computes each distance a bound keeps
+    exactly, so `min_sq` holds the bits of a full recomputation, and only a
+    strictly smaller distance moves it.
     """
 
     def __init__(self, points: np.ndarray, capacity: int):
         n, w = points.shape
         self.points, self.points_sq = points, np.einsum("ij,ij->i", points, points)
         self.min_sq, self.centers, self.m = np.full(n, np.inf), np.empty((capacity, w)), 0
-        self.reach = None
-        if points.nbytes >= _PRUNE_BYTES:  # the triangle test's state
-            self.reach, self.near = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
-            self.diff, self.buf = np.empty((capacity, w)), np.empty((n // 8, w))
+        self.reach, self.near = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+        self.diff, self.buf = np.empty((capacity, w)), np.empty((n // 8, w))
 
     def add(self, new: np.ndarray) -> None:
         """Make the rows of `new` centers: all rows of a first call, then one."""
         m, k, n = self.m, len(new), len(self.points)
         self.centers[m : m + k] = new
         self.m += k
-        if m and self.reach is not None:
+        if m:
             d = np.subtract(self.centers[:m], new[0], out=self.diff[:m])
             live = np.flatnonzero(np.einsum("ij,ij->i", d, d)[self.near] <= self.reach)
             if len(live) <= len(self.buf):
@@ -268,9 +253,6 @@ class _Nearest:
         a slice), to the new centers."""
         i, j, sq = _closer_sq(rows, self.points_sq[at], new, self.min_sq[at])
         i = i + at.start if isinstance(at, slice) else at[i]
-        if self.reach is None:  # no triangle test reads `near`
-            self.min_sq[i] = np.minimum(self.min_sq[i], sq)
-            return
         fell = sq < self.min_sq[i]
         i, sq = i[fell], sq[fell]
         self.min_sq[i], self.near[i], self.reach[i] = sq, j[fell] + m, _reach(sq, rows.shape[1])

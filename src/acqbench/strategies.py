@@ -104,7 +104,7 @@ class RoundState:
         self.round_index = round_index
         self.run_seed = run_seed
         self.n_mc = self.n_features = 0
-        self._mc = _Memo(len(self.X), 1, lambda t: t.data, acq.ProbabilityTensor)
+        self._mc = _Memo(len(self.X), 1, lambda t: t.data, acq.ProbabilityTensor._of_softmax)
         self._features = _Memo(len(self.X), 0)
 
     def mc_probs(self, idx: np.ndarray) -> acq.ProbabilityTensor:

@@ -46,6 +46,17 @@ class TestProbabilityTensor:
         with pytest.raises(ValueError):
             ProbabilityTensor(np.full((1, 1, 2), 0.7))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (1, 0, 3), (2, 1, 0)])
+    def test_degenerate_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"degenerate tensor shape"):
+            ProbabilityTensor(np.zeros(shape))
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [-0.5, 1.5]])
+    def test_out_of_range_rejected(self, row):
+        # the row sums to 1, so only the range check can refuse it
+        with pytest.raises(ValueError, match=r"probabilities outside \[0, 1\]"):
+            ProbabilityTensor(np.array([[row]]))
+
     def test_mean_over_passes(self):
         data = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         t = ProbabilityTensor(data)
@@ -398,12 +409,11 @@ def _pruning_fixtures():
 
     Rows offset by 1e4 to 1e8 from the origin with a spread of 1e-3, where
     cancellation in |p|^2 + |c|^2 - 2 p.c lets every pair within a cluster
-    through the filter: one cluster, where the surviving pairs are computed
-    densely, or four, where about a quarter of them survive and are
-    gathered. Then rows one ulp apart, and squared distances one ulp apart
-    whose roots are equal; duplicated and all-zero rows; widths up to 512;
-    and labeled sets spanning several of k-centers' row blocks, up to one
-    larger than a whole block.
+    through the filter: one cluster, where every pair survives, or four,
+    where about a quarter of them do. Then rows one ulp apart, and squared
+    distances one ulp apart whose roots are equal; duplicated and all-zero
+    rows; widths up to 512; and labeled sets spanning several of k-centers'
+    row blocks, up to one larger than a whole block.
     """
     g = np.random.default_rng(21)
     for offset, w, clusters in itertools.product((1e4, 1e6, 1e8), (1, 2, 5, 32, 512), (1, 4)):
@@ -462,6 +472,22 @@ def _reach_fixtures():
     yield g.normal(size=(40, 5)), np.zeros((0, 5)), 40
 
 
+def _traced_peak(call):
+    """(call(), the most bytes tracemalloc saw allocated during it above what
+    was allocated before)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _polygon_pools():
     """Regular polygons of 13 to 36 vertices, alone and with copies of every
     third vertex appended."""
@@ -494,14 +520,6 @@ def _brute_force_farthest_first(pool, labeled, b):
     return np.array(chosen)
 
 
-@pytest.fixture(params=["every size", "large sets"])
-def pruning(request, monkeypatch):
-    """Run a test with the triangle test of `_Nearest` on every point set,
-    as well as only on the sets as large as `_PRUNE_BYTES`."""
-    if request.param == "every size":
-        monkeypatch.setattr(acquisition, "_PRUNE_BYTES", 0)
-
-
 class TestCloserSq:
     def test_keeps_every_pair_that_can_beat_current(self):
         # each center's nearest quarter of rows beats a current one ulp above
@@ -519,11 +537,11 @@ class TestCloserSq:
 
 
 class TestNearest:
-    def test_every_center_matches_a_full_recomputation(self, pruning):
+    def test_every_center_matches_a_full_recomputation(self):
         # a row the triangle inequality rules out must not have a strictly
         # closer new center: after each center, every row's minimum holds
-        # the bits of recomputing all its distances, and where the test runs,
-        # its `near` center lies at exactly that distance
+        # the bits of recomputing all its distances, and its `near` center
+        # lies at exactly that distance
         g = np.random.default_rng(24)
         for pool, labeled, _ in itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures()):
             nearest = acquisition._Nearest(pool, len(labeled) + len(pool))
@@ -535,10 +553,9 @@ class TestNearest:
                 nearest.add(pool[c : c + 1])
                 want = np.minimum(want, ((pool - pool[c]) ** 2).sum(axis=1))
                 np.testing.assert_array_equal(nearest.min_sq, want)
-                if nearest.reach is not None:
-                    at = np.isfinite(want)
-                    near_sq = ((pool - nearest.centers[nearest.near]) ** 2).sum(axis=1)
-                    np.testing.assert_array_equal(near_sq[at], want[at])
+                at = np.isfinite(want)
+                near_sq = ((pool - nearest.centers[nearest.near]) ** 2).sum(axis=1)
+                np.testing.assert_array_equal(near_sq[at], want[at])
 
     def test_reach_covers_the_worst_rounding(self):
         # the least cc that `_reach` rules out, taken at its worst under the
@@ -603,9 +620,7 @@ class TestKCenters:
                 select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
             )
 
-    def test_matches_reference_where_pruning_is_tightest(self, pruning):
-        # with the triangle test on every set, the selector and pruning
-        # fixtures too
+    def test_matches_reference_where_pruning_is_tightest(self):
         cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())
         for pool, labeled, b in cases:
             np.testing.assert_array_equal(
@@ -621,18 +636,21 @@ class TestKCenters:
         # the full [pool, labeled, width] difference tensor here is 146 MiB
         g = np.random.default_rng(5)
         pool, labeled = g.normal(size=(2000, 96)), g.normal(size=(100, 96))
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            select_k_centers(pool, labeled, 1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak = _traced_peak(lambda: select_k_centers(pool, labeled, 1))
         assert peak < 32 * 2**20
+
+    def test_every_pair_surviving_the_bound_stays_exact_and_chunked(self):
+        # one tight cluster 1e8 from the origin: cancellation lets every pair
+        # through `_closer_sq`'s bound. Its chunks keep the peak near 1 MiB;
+        # one gather per block of rows would take 7 MiB, one gather of the
+        # whole labeled pass 98 MiB
+        g = np.random.default_rng(25)
+        center = 1e8 * g.uniform(0.5, 1.5, size=32)
+        pool = center + 1e-3 * g.normal(size=(2000, 32))
+        labeled = center + 1e-3 * g.normal(size=(200, 32))
+        picks, peak = _traced_peak(lambda: select_k_centers(pool, labeled, 50))
+        assert peak < 4 * 2**20
+        np.testing.assert_array_equal(picks, _reference_k_centers(pool, labeled, 50))
 
     def test_two_approximation(self):
         # greedy covering radius at most twice the exhaustive optimum
@@ -713,7 +731,7 @@ class TestKMeansPP:
                 k = min(b, len(emb))
                 np.testing.assert_array_equal(select_kmeanspp(emb, k, seed), _reference_kmeanspp(emb, k, seed))
 
-    def test_matches_reference_where_pruning_is_tightest(self, pruning):
+    def test_matches_reference_where_pruning_is_tightest(self):
         cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())
         for seed, (pool, labeled, b) in enumerate(cases):
             for emb in (pool, labeled):
@@ -729,17 +747,7 @@ class TestKMeansPP:
         # gathering the survivors into new arrays, or one [n, w] temporary
         # of any kind, would pass half of the embeddings' bytes
         emb = np.random.default_rng(16).normal(size=(2500, 192))
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            select_kmeanspp(emb, 50, 3)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak = _traced_peak(lambda: select_kmeanspp(emb, 50, 3))
         assert peak < emb.nbytes / 2
 
 
@@ -858,17 +866,7 @@ class TestFacilityLocation:
         # the n x n similarity matrix alone would be 122 MiB here
         n, w = 4000, 96
         feats = np.maximum(np.random.default_rng(15).normal(size=(n, w)), 0.0)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            select_facility_location(feats, 50)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak = _traced_peak(lambda: select_facility_location(feats, 50))
         assert peak < 4 * n * w * 8
 
     def test_submodular_guarantee(self):
@@ -935,17 +933,7 @@ class TestDisparityMin:
         # the n x n distance matrix alone would be 122 MiB here
         n, w = 4000, 96
         feats = np.maximum(np.random.default_rng(15).normal(size=(n, w)), 0.0)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            select_disparity_min(feats, 50)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak = _traced_peak(lambda: select_disparity_min(feats, 50))
         assert peak < 4 * n * w * 8
 
 

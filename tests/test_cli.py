@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import os
+import re
 import shutil
 import xml.dom.minidom
 
@@ -107,6 +108,16 @@ class TestValidateConfig:
         cfg = _base_config("/tmp/x")
         cfg["model"]["dropout"] = 1.0
         with pytest.raises(ValueError, match="dropout"):
+            validate_config(cfg)
+
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(ValueError, match="'output_dir' must be a nonempty string"):
+            validate_config(_base_config(""))
+
+    def test_list_where_an_object_belongs_named(self):
+        cfg = _base_config("/tmp/x")
+        cfg["train"] = [0.1]
+        with pytest.raises(ValueError, match=re.escape("'config.train' must be an object, got [0.1]")):
             validate_config(cfg)
 
     @staticmethod
@@ -569,6 +580,12 @@ class TestCompareCommand:
         rc = main(["compare", str(tmp_path / "nothing")])
         assert rc != 0
 
+    def test_tree_without_records_fails(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        (root / "entropy" / "0").mkdir(parents=True)
+        assert main(["compare", str(root)]) == 1
+        assert f"no strategy results under {root}" in capsys.readouterr().err
+
     def test_duplicate_seed_directories_rejected(self, tmp_path, capsys):
         # 1/ and 01/ both parse to seed 1; neither may silently win
         out = self._results_tree(tmp_path)
@@ -660,6 +677,20 @@ class TestAblateCommand:
                    "--parameter", "kappa", "--values", "1,2"])
         assert rc != 0
         assert "series" in capsys.readouterr().err
+
+    def test_kappa_on_one_stage_series_fails(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path / "abl")
+        cfg["strategy"] = {"kind": "series", "params": {"kappas": [1]}, "constituents": [{"kind": "bald"}]}
+        rc = main(["ablate", "--config", _write_config(tmp_path, cfg),
+                   "--parameter", "kappa", "--values", "1,2"])
+        assert rc == 1
+        assert "kappa ablation needs a series with at least 2 stages" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
+    def test_unknown_parameter_rejected(self):
+        # the command line's choices stop it before this check
+        with pytest.raises(ValueError, match="unknown ablation parameter 'lr'"):
+            cli._apply_ablation({"kind": "series"}, "lr", 1.0)
 
     def test_rate_on_non_annealing_fails(self, tmp_path, capsys):
         rc = main(["ablate", "--config", _write_config(tmp_path),

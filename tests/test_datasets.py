@@ -40,6 +40,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf, 0.0]]), np.array([0]), 2)
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+
     def test_arrays_read_only(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
         with pytest.raises(ValueError):
@@ -172,6 +176,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="label"):
             load_csv(str(p), "c")
 
+    @pytest.mark.parametrize("text,column,message", [
+        ("", 0, "empty file"),
+        ("\n\n", 0, "empty file"),
+        ("a,b,target\n", "target", "header but no data rows"),
+        ("1,2,0\n3,4,1\n", "target", "label column 'target' needs a header row"),
+    ])
+    def test_shape_diagnostics(self, tmp_path, text, column, message):
+        p = tmp_path / "shape.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(p), column)
+
     def test_negative_column_index(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text("1,2,0\n3,4,1\n")
@@ -218,3 +234,11 @@ class TestSplit:
             split(self._toy(), 0.0)
         with pytest.raises(ValueError):
             split(self._toy(), 1.0)
+
+    @pytest.mark.parametrize("n,fraction,message", [
+        (10, 0.01, "degenerate split: 10 train of 10 rows"),
+        (1, 0.5, "degenerate split: 1 train of 1 rows"),
+    ])
+    def test_degenerate_split_rejected(self, n, fraction, message):
+        with pytest.raises(ValueError, match=message):
+            split(self._toy(n), fraction)

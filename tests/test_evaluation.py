@@ -220,6 +220,16 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             compute_heatmap([_table("a", data), _table("a", data)])
 
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="no tables"):
+            compute_heatmap([])
+
+    def test_one_strategy_row_average_is_zero(self):
+        # no other strategy to average over
+        hm = compute_heatmap([_table("a", np.ones((2, 3)))])
+        np.testing.assert_array_equal(hm.matrix, [[0.0]])
+        np.testing.assert_array_equal(hm.row_averages(), [0.0])
+
     @pytest.mark.parametrize("critical", [-1.0, math.nan, math.inf])
     def test_negative_or_non_finite_critical_rejected(self, critical):
         # at -1 every pair beats each other in a tied round (m + m^T = 2); NaN makes nobody win

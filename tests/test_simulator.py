@@ -345,6 +345,12 @@ class TestArtifacts:
         with pytest.raises(ValueError, match=expected):
             read_record_csv(p)
 
+    def test_header_only_record_rejected(self, tmp_path):
+        p = tmp_path / "record.csv"
+        p.write_text(",".join(RECORD_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_record_csv(p)
+
 
 class TestRecordTypes:
     def _row(self, t):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acqbench import acquisition as acq
 from acqbench import model as mdl
 from acqbench.strategies import KNOWN_KINDS, RoundState, build_strategy
 
@@ -304,6 +305,27 @@ class TestRoundMemo:
         gathered, gathered_f = state.mc_probs(np.arange(4, 10)), state.features_of(np.arange(4, 10))
         for arr in (fresh.data, fresh_f, gathered.data, gathered_f):
             assert not arr.flags.writeable
+
+    def test_gathered_stacks_skip_the_public_constructor(self, monkeypatch):
+        # the memo's rows were softmax rows when computed: a request with
+        # hits wraps the gathered copy without the constructor's checks
+        state = _state(n_passes=3)
+        first = state.mc_probs(np.arange(6, 12))
+
+        def refuse(self):
+            raise AssertionError("the validating constructor ran")
+
+        monkeypatch.setattr(acq.ProbabilityTensor, "__post_init__", refuse)
+        t = state.mc_probs(np.arange(8, 14))
+        assert isinstance(t, acq.ProbabilityTensor) and not t.data.flags.writeable
+        assert t.data[:, :4].tobytes() == first.data[:, 2:].tobytes()
+        assert t.data[:, 4:].tobytes() == mdl.mc_predict(state.params, state.X[12:14], state.mc).data.tobytes()
+
+    def test_empty_labeled_set_has_no_features(self, computed):
+        state = _state(n_labeled=0)
+        f = state.labeled_features()
+        assert f.shape == (0, state.params.hidden)
+        assert computed == [] and state.n_features == 0
 
     def test_hybrid_second_arm_pays_only_its_misses(self):
         # bald scores all n candidates; badge's MC rows are hits, its features are not
