@@ -5,10 +5,10 @@ compare (heatmap over a results tree), ablate (parameter sweep with
 accuracy-vs-cost curves), toy (built-in checkerboard demo comparing random,
 least-confident, and k-centers selection).
 
-Results are laid out as output_dir/<strategy>/<seed>/{record.csv,
-summary.json}, so `compare` can reconstruct everything from the tree alone.
-`toy` writes its records as `sweep` does and builds its tables from them as
-`compare` does, over its own strategies and seeds only.
+Each command makes one `sweep` call, in one pool, over all of its runs.
+Each run writes output_dir/<strategy>/<seed>/{record.csv,summary.json}, and
+every derived file and printed line is read back from those through
+`simulator.read_run`, as `compare` reads any tree (`toy`: its own runs only).
 All artifact writes are atomic. Commands exit 0 only after every artifact
 landed; config violations exit nonzero naming the offending key.
 """
@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .fileio import atomic_write_text, csv_text
 from .rng import _integer
-from .simulator import RunRecord, check_seeds, read_record_csv, sweep, write_record
+from .simulator import check_seeds, read_run, sweep
 
 TOY_STRATEGIES = (
     {"kind": "random"},
@@ -107,27 +107,38 @@ def _load_config(path: str) -> dict:
     return validate_config(raw)
 
 
-def _run_strategy(
-    cfg: dict, strategy_spec: dict, seeds: list[int], out_root: Path, jobs: int
-) -> tuple[str, list[RunRecord]]:
-    """Sweep one strategy spec over seeds and write its per-seed artifacts."""
-    exp = build_experiment({**cfg, "strategy": strategy_spec}, seeds[0])
-    records = sweep(exp, seeds, jobs=jobs)
-    name = records[0].strategy
-    for rec in records:
-        write_record(rec, out_root / name / str(rec.seed))
-    return name, records
+def _sweep(cfg: dict, runs, seeds: list[int], jobs: int) -> list[tuple[str, list[tuple[int, list[dict]]]]]:
+    """Run every (strategy spec, output root) pair under every seed in one
+    `sweep` call; per pair, (strategy name, [(seed, rows)]) read back."""
+    exps = [(build_experiment({**cfg, "strategy": spec}, seeds[0]), root) for spec, root in runs]
+    dirs = sweep(exps, seeds, jobs=jobs)
+    return [(dirs[i].parent.name, _read_runs(dirs[i : i + len(seeds)])) for i in range(0, len(dirs), len(seeds))]
+
+
+def _read_runs(seed_dirs) -> list[tuple[int, list[dict]]]:
+    """(seed, `read_run` rows) per seed directory, out/<strategy>/<seed>."""
+    runs = []
+    for seed_dir in seed_dirs:
+        seed = int(seed_dir.name) if seed_dir.name.removeprefix("-").isdecimal() else None
+        if seed is None or str(seed) != seed_dir.name:
+            raise ValueError(f"{seed_dir}: seed directory name must be an integer as sweep writes it")
+        runs.append((seed, read_run(seed_dir)))
+    return runs
+
+
+def _median_final(runs) -> float:
+    return float(np.median([rows[-1]["test_accuracy"] for _, rows in runs]))
 
 
 def table_csv_text(table: AccuracyTable) -> str:
     """Accuracy table as CSV: one row per round, one column per seed."""
-    rows = ([t + 1, *(repr(float(v)) for v in table.data[t])] for t in range(table.n_rounds))
+    rows = ([t, *(repr(float(v)) for v in accs)] for t, accs in enumerate(table.data, start=1))
     return csv_text([["round", *(f"seed_{s}" for s in table.seeds)], *rows])
 
 
-def curve_csv_text(records: list[RunRecord]) -> str:
-    """Accuracy-vs-cost curve aggregated over seeds; the cost axis is the
-    cumulative inference count."""
+def curve_csv_text(runs) -> str:
+    """Accuracy-vs-cost curve aggregated over (seed, rows) runs; the cost
+    axis is the cumulative inference count."""
     header = [
         "round",
         "n_labeled",
@@ -135,13 +146,13 @@ def curve_csv_text(records: list[RunRecord]) -> str:
         "median_accuracy",
         "mean_cum_n_infer",
     ]
-    n_rounds = len(records[0].rows)
-    accs = np.array([[r.rows[t].test_accuracy for r in records] for t in range(n_rounds)])
-    infer = np.array([[r.rows[t].n_infer for r in records] for t in range(n_rounds)]).cumsum(axis=0)
+    n_rounds = len(runs[0][1])
+    accs = np.array([[rows[t]["test_accuracy"] for _, rows in runs] for t in range(n_rounds)])
+    infer = np.array([[rows[t]["n_infer"] for _, rows in runs] for t in range(n_rounds)]).cumsum(axis=0)
     rows = (
         [
             t + 1,
-            records[0].rows[t].n_labeled,
+            runs[0][1][t]["n_labeled"],
             repr(float(accs[t].mean())),
             repr(float(np.median(accs[t]))),
             repr(float(infer[t].mean())),
@@ -155,9 +166,8 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
     out = Path(args.out or cfg["output_dir"])
-    name, records = _run_strategy(cfg, cfg["strategy"], [seed], out, jobs=1)
-    rec = records[0]
-    print(f"{name} seed={seed}: final accuracy {rec.final_accuracy:.4f} after {len(rec.rows)} rounds")
+    [(name, [(_, rows)])] = _sweep(cfg, [(cfg["strategy"], out)], [seed], jobs=1)
+    print(f"{name} seed={seed}: final accuracy {rows[-1]['test_accuracy']:.4f} after {len(rows)} rounds")
     print(f"wrote {out / name / str(seed)}")
     return 0
 
@@ -166,34 +176,24 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else cfg["seeds"]
     out = Path(args.out or cfg["output_dir"])
-    name, records = _run_strategy(cfg, cfg["strategy"], seeds, out, jobs=_jobs(args))
-    finals = [r.final_accuracy for r in records]
-    print(f"{name}: {len(records)} seeds, median final accuracy {float(np.median(finals)):.4f}")
+    [(name, runs)] = _sweep(cfg, [(cfg["strategy"], out)], seeds, _jobs(args))
+    print(f"{name}: {len(runs)} seeds, median final accuracy {_median_final(runs):.4f}")
     print(f"wrote {out / name}")
     return 0
 
 
-def _strategy_table(name: str, seed_dirs) -> AccuracyTable:
-    """One strategy's accuracy table, read back from the record.csv in each
-    of its seed directories (out/<strategy>/<seed>, as sweep writes them)."""
-    runs = []
-    for seed_dir in seed_dirs:
-        seed = int(seed_dir.name) if seed_dir.name.removeprefix("-").isdecimal() else None
-        if seed is None or str(seed) != seed_dir.name:
-            raise ValueError(f"{seed_dir}: seed directory name must be an integer as sweep writes it")
-        runs.append((seed, [row["test_accuracy"] for row in read_record_csv(seed_dir / "record.csv")]))
-    return table_from_runs(name, runs)
+def _strategy_table(name: str, runs) -> AccuracyTable:
+    """One strategy's accuracy table from its (seed, rows) runs."""
+    return table_from_runs(name, [(seed, [row["test_accuracy"] for row in rows]) for seed, rows in runs])
 
 
 def _discover_tables(root: Path) -> list[AccuracyTable]:
     """Rebuild accuracy tables from an output tree (strategy/seed/record.csv)."""
-    if not root.is_dir():
-        raise ValueError(f"{root} is not a directory")
     tables = []
     for sdir in sorted(p for p in root.iterdir() if p.is_dir()):
         seed_dirs = sorted(rec_path.parent for rec_path in sdir.glob("*/record.csv"))
         if seed_dirs:
-            tables.append(_strategy_table(sdir.name, seed_dirs))
+            tables.append(_strategy_table(sdir.name, _read_runs(seed_dirs)))
     if not tables:
         raise ValueError(f"no strategy results under {root}")
     return tables
@@ -249,15 +249,13 @@ def _cmd_ablate(args) -> int:
     specs = [_apply_ablation(cfg["strategy"], args.parameter, value) for value in values]
     for spec in specs:
         validate_config({**cfg, "strategy": spec})
-    for subtree, value, spec in zip(subtrees, values, specs):
-        sub = out / subtree
-        name, records = _run_strategy(cfg, spec, seeds, sub, jobs=_jobs(args))
-        atomic_write_text(sub / "curve.csv", curve_csv_text(records))
-        finals = [r.final_accuracy for r in records]
+    results = _sweep(cfg, [(spec, out / subtree) for spec, subtree in zip(specs, subtrees)], seeds, _jobs(args))
+    for subtree, value, (name, runs) in zip(subtrees, values, results):
+        atomic_write_text(out / subtree / "curve.csv", curve_csv_text(runs))
         print(
             f"{args.parameter}={value:g} ({name}): median final accuracy "
-            f"{float(np.median(finals)):.4f}, mean inferences/run "
-            f"{float(np.mean([r.total_inferences for r in records])):.0f}"
+            f"{_median_final(runs):.4f}, mean inferences/run "
+            f"{float(np.mean([sum(row['n_infer'] for row in rows) for _, rows in runs])):.0f}"
         )
     print(f"wrote {len(values)} ablation subtrees under {out}")
     return 0
@@ -274,20 +272,18 @@ def _cmd_toy(args) -> int:
 
     tables = []
     selections = [["strategy", "seed", "round", "index", "x0", "x1", "label"]]
-    for spec in TOY_STRATEGIES:
-        name, records = _run_strategy(cfg, spec, seeds, out, jobs=_jobs(args))
-        table = _strategy_table(name, [out / name / str(seed) for seed in seeds])
+    for name, runs in _sweep(cfg, [(spec, out) for spec in TOY_STRATEGIES], seeds, _jobs(args)):
+        table = _strategy_table(name, runs)
         tables.append(table)
         atomic_write_text(out / name / "accuracy_table.csv", table_csv_text(table))
         selections += (
-            [name, rec.seed, row.round, idx, repr(float(train_ds.X[idx, 0])), repr(float(train_ds.X[idx, 1])),
+            [name, seed, row["round"], idx, repr(float(train_ds.X[idx, 0])), repr(float(train_ds.X[idx, 1])),
              int(train_ds.y[idx])]
-            for rec in records
-            for row in rec.rows
-            for idx in row.selected
+            for seed, rows in runs
+            for row in rows
+            for idx in row["selected"]
         )
-        finals = [r.final_accuracy for r in records]
-        print(f"{name}: median final accuracy {float(np.median(finals)):.4f}")
+        print(f"{name}: median final accuracy {_median_final(runs):.4f}")
 
     atomic_write_text(out / "selections.csv", csv_text(selections))
     _write_heatmap(tables, out, args.critical)
@@ -307,40 +303,38 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--jobs", type=int, default=None, help="worker processes (default $ACQBENCH_JOBS or 1)")
 
     p_run = sub.add_parser("run", help="run one experiment (first config seed by default)")
+    p_run.set_defaults(handler=_cmd_run)
     add_common(p_run, jobs=False)
     p_run.add_argument("--seed", type=int, default=None, help="run seed override")
 
     p_sweep = sub.add_parser("sweep", help="run the config across seeds")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     add_common(p_sweep)
     p_sweep.add_argument("--seeds", default=None, help="seed list '0,1,2' or range '0..9' (default config seeds)")
 
     p_cmp = sub.add_parser("compare", help="build the winning-rate heatmap from a results tree")
+    p_cmp.set_defaults(handler=_cmd_compare)
     p_cmp.add_argument("results_dir", help="tree of <strategy>/<seed>/record.csv")
     p_cmp.add_argument("--critical", type=float, default=DEFAULT_CRITICAL, help="t threshold for a win")
     p_cmp.add_argument("--out", default=None, help="where to write heatmap files (default results_dir)")
 
     p_abl = sub.add_parser("ablate", help="sweep a structure parameter (kappa or rate)")
+    p_abl.set_defaults(handler=_cmd_ablate)
     add_common(p_abl)
     p_abl.add_argument("--parameter", required=True, choices=("kappa", "rate"))
     p_abl.add_argument("--values", required=True, help="comma-separated values, e.g. '1,2,5'")
     p_abl.add_argument("--seeds", default=None, help="seed list or range override")
 
     p_toy = sub.add_parser("toy", help="built-in checkerboard benchmark (random vs least_confident vs k_centers)")
+    p_toy.set_defaults(handler=_cmd_toy)
     add_common(p_toy, config=False)
     p_toy.add_argument("--seeds", default="0..9", help="seed list or range (default 0..9)")
     p_toy.add_argument("--rounds", type=int, default=20, help="acquisition rounds (default 20)")
     p_toy.add_argument("--critical", type=float, default=DEFAULT_CRITICAL, help="t threshold for a win")
 
     args = parser.parse_args(argv)
-    commands = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "compare": _cmd_compare,
-        "ablate": _cmd_ablate,
-        "toy": _cmd_toy,
-    }
     try:
-        return commands[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

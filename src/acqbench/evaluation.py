@@ -40,10 +40,6 @@ class AccuracyTable:
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "seeds", seeds)
 
-    @property
-    def n_rounds(self) -> int:
-        return self.data.shape[0]
-
 
 def table_from_runs(name: str, runs) -> AccuracyTable:
     """One strategy's table from (seed, per-round accuracies) pairs, in

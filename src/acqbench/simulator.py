@@ -8,7 +8,8 @@ acquisition cost. `run_experiment` is `start` followed by `rounds` steps.
 A `Run` carries all of its own state (labeled mask, model, strategy tree,
 rows), so runs can be advanced in any interleaving. All randomness is keyed
 by (run seed, namespace, round), so records are bit-identical across
-re-runs and across processes in a sweep.
+re-runs and across processes. A sweep's run writes its record in the
+process that ran it and returns only its directory; `read_run` reads it back.
 
 Inference accounting covers acquisition-phase forward passes only (what the
 model computed for the strategy; a point asked for twice in a round is
@@ -132,14 +133,6 @@ class RunRecord:
             if row.round != t:
                 raise ValueError(f"round numbers must be contiguous from 1, got {row.round} at {t}")
 
-    @property
-    def final_accuracy(self) -> float:
-        return self.rows[-1].test_accuracy if self.rows else self.initial_accuracy
-
-    @property
-    def total_inferences(self) -> int:
-        return sum(r.n_infer for r in self.rows)
-
 
 def oracle_label(ds: Dataset, indices: np.ndarray) -> np.ndarray:
     """Ground-truth labels for the given rows (the simulated annotator)."""
@@ -228,9 +221,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     return RunRecord(run.strategy.name, cfg.seed, run.initial_accuracy, tuple(run.rows))
 
 
-def _run_with_seed(args: tuple[ExperimentConfig, int]) -> RunRecord:
-    cfg, seed = args
-    return run_experiment(replace(cfg, seed=seed))
+def _run_with_seed(task: tuple[ExperimentConfig, Path, int]) -> Path:
+    cfg, root, seed = task
+    record = run_experiment(replace(cfg, seed=seed))
+    return write_record(record, Path(root) / record.strategy / str(seed))
 
 
 def check_seeds(seeds, where: str = "'seeds'") -> list[int]:
@@ -245,21 +239,19 @@ def check_seeds(seeds, where: str = "'seeds'") -> list[int]:
     return seeds
 
 
-def sweep(cfg: ExperimentConfig, seeds, jobs: int = 1) -> list[RunRecord]:
-    """Run the same config under each seed; optionally across processes.
-
-    Results are returned in seed order regardless of scheduling, and each
-    worker derives all its randomness from its own seed, so parallel and
-    sequential sweeps produce identical records.
-    """
+def sweep(runs, seeds, jobs: int = 1) -> list[Path]:
+    """Run each (config, output root) pair under each seed in one pool of up
+    to `jobs` processes. Each run writes root/<strategy>/<seed> itself and
+    derives all its randomness from its seed, so the run directories come
+    back pair by pair, seed by seed, with the same bytes at any `jobs`."""
     seeds = check_seeds(seeds)
-    _integer(jobs, "jobs", 1)
-    tasks = [(cfg, s) for s in seeds]
-    if jobs == 1 or len(seeds) == 1:
+    tasks = [(cfg, root, s) for cfg, root in runs for s in seeds]
+    workers = min(_integer(jobs, "jobs", 1), len(tasks))
+    if workers <= 1:
         return [_run_with_seed(t) for t in tasks]
     # imported here: the import takes ~20 ms, and most commands start no worker
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_with_seed, tasks))
 
 
@@ -278,8 +270,8 @@ def record_summary(record: RunRecord) -> dict:
         "seed": record.seed,
         "n_rounds": len(record.rows),
         "initial_accuracy": record.initial_accuracy,
-        "final_accuracy": record.final_accuracy,
-        "total_n_infer": record.total_inferences,
+        "final_accuracy": record.rows[-1].test_accuracy if record.rows else record.initial_accuracy,
+        "total_n_infer": sum(r.n_infer for r in record.rows),
         "rounds": [asdict(r) for r in record.rows],
     }
 
@@ -301,4 +293,20 @@ def read_record_csv(path: str | Path) -> list[dict]:
         rows = [{c: parse(raw[c]) for c, parse in _RECORD_PARSERS.items()} for raw in reader]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    return rows
+
+
+def read_run(run_dir: str | Path) -> list[dict]:
+    """A run directory's record.csv rows, each with its `selected` indices
+    from summary.json, matched by round number."""
+    run_dir = Path(run_dir)
+    rows = read_record_csv(run_dir / "record.csv")
+    if not (run_dir / "summary.json").is_file():
+        raise ValueError(f"{run_dir}: record.csv has no summary.json beside it")
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    selected = {r["round"]: r["selected"] for r in summary["rounds"]}
+    for row in rows:
+        if row["round"] not in selected:
+            raise ValueError(f"{run_dir}: summary.json has no round {row['round']}")
+        row["selected"] = selected[row["round"]]
     return rows

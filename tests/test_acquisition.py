@@ -614,12 +614,6 @@ class TestKCenters:
                 select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
             )
 
-    def test_matches_reference_where_bounds_are_weakest(self):
-        for pool, labeled, b in _pruning_fixtures():
-            np.testing.assert_array_equal(
-                select_k_centers(pool, labeled, b), _reference_k_centers(pool, labeled, b)
-            )
-
     def test_matches_reference_where_pruning_is_tightest(self):
         cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())
         for pool, labeled, b in cases:
@@ -723,13 +717,6 @@ class TestKMeansPP:
         expected = n_draws / 4
         sigma = math.sqrt(n_draws * 0.25 * 0.75)
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
-
-    def test_matches_reference(self):
-        cases = itertools.chain(_selector_fixtures(), _pruning_fixtures())
-        for seed, (pool, labeled, b) in enumerate(cases):
-            for emb in (pool, labeled):
-                k = min(b, len(emb))
-                np.testing.assert_array_equal(select_kmeanspp(emb, k, seed), _reference_kmeanspp(emb, k, seed))
 
     def test_matches_reference_where_pruning_is_tightest(self):
         cases = itertools.chain(_selector_fixtures(), _pruning_fixtures(), _reach_fixtures())

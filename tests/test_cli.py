@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +631,15 @@ class TestCompareCommand:
         assert "random: seeds disagree on round count [1, 2]" in capsys.readouterr().err
         assert not (tmp_path / "h").exists()
 
+    def test_record_without_summary_rejected(self, tmp_path, capsys):
+        # a run that died between its two atomic writes used to be counted
+        out = self._results_tree(tmp_path)
+        (out / "random" / "1" / "summary.json").unlink()
+        rc = main(["compare", str(out), "--out", str(tmp_path / "h")])
+        assert rc == 1
+        assert f"error: {out / 'random' / '1'}: record.csv has no summary.json beside it" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
     def test_rerun_byte_identical_heatmap(self, tmp_path):
         out = self._results_tree(tmp_path)
         main(["compare", str(out), "--out", str(tmp_path / "h1")])
@@ -863,6 +873,46 @@ class TestToyCommand:
         train_rows = 6 * 6 * 100 * 0.75
         assert needed <= train_rows
         assert cfg["al"]["pool_size"] >= cfg["al"]["b"]
+
+
+class TestOneSweepPerCommand:
+    """Each command runs all of its runs through one `sweep` call, whose
+    workers hand back run directories, not records."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        returned = []
+        sweep = cli.sweep
+
+        def counted(*args, **kwargs):
+            returned.append(sweep(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "sweep", counted)
+        return returned
+
+    def _ablate(self, tmp_path, jobs):
+        cfg = _base_config(tmp_path / "unused")
+        cfg["strategy"] = {"kind": "annealing", "params": {"t_initial": 1},
+                           "constituents": [{"kind": "random"}, {"kind": "bald"}]}
+        return ["ablate", "--config", _write_config(tmp_path, cfg), "--parameter", "rate", "--values", "1,2,3",
+                "--out", str(tmp_path / f"ablate{jobs}"), "--jobs", jobs]
+
+    @pytest.mark.parametrize("command", ["toy", "ablate"])
+    def test_one_sweep_call_same_tree_at_two_jobs(self, tmp_path, monkeypatch, command):
+        returned = self._count_sweeps(monkeypatch)
+        for jobs in ("1", "2"):
+            argv = (["toy", "--out", str(tmp_path / f"toy{jobs}"), "--seeds", "0,1", "--rounds", "2", "--jobs", jobs]
+                    if command == "toy" else self._ablate(tmp_path, jobs))
+            assert main(argv) == 0
+            assert len(returned) == 1
+            assert len(returned[0]) == 3 * 2  # three strategies or values, two seeds
+            assert all(isinstance(run_dir, Path) and (run_dir / "summary.json").is_file() for run_dir in returned[0])
+            returned.clear()
+        derived = {"toy": {"accuracy_table.csv", "selections.csv", "heatmap.csv", "heatmap.svg"}, "ablate": {"curve.csv"}}
+        one = _tree_bytes(tmp_path / f"{command}1")
+        assert {name.rsplit("/", 1)[-1] for name in one} == {"record.csv", "summary.json"} | derived[command]
+        assert one == _tree_bytes(tmp_path / f"{command}2")
 
 
 class TestJobsEnv:

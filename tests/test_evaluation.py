@@ -285,7 +285,9 @@ _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"
 class TestOneTableBuilder:
     """`toy` and `compare` build their tables one way: from records on disk,
     through the reader `cli._strategy_table`. A second builder must not
-    regrow before more artifacts are read off the same tables."""
+    regrow before more artifacts are read off the same tables. Every derived
+    file and printed line comes from the one run reader, `simulator.read_run`:
+    no record crosses from the run loop to the command line in memory."""
 
     def test_evaluation_does_not_import_the_run_loop(self):
         tree = ast.parse((_PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
@@ -309,3 +311,32 @@ class TestOneTableBuilder:
         for path in sorted(_PACKAGE.rglob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
         assert users == [("cli.py", "_strategy_table")]
+
+    def test_cli_reads_runs_only_through_read_run(self):
+        tree = ast.parse((_PACKAGE / "cli.py").read_text(encoding="utf-8"))
+        from_simulator = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                          and node.module == "simulator" for alias in node.names}
+        assert from_simulator == {"check_seeds", "read_run", "sweep"}
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+        assert names & {"RunRecord", "write_record", "read_record_csv", "record_summary"} == set()
+
+    def test_read_run_is_the_only_reader_of_a_run(self):
+        # where src/ names summary.json, and who parses a record.csv: the
+        # writer and the one reader only
+        users = {"summary.json": set(), "read_record_csv": set()}
+
+        def visit(node, module, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            for name in (getattr(node, "value", None), getattr(node, "id", None)):
+                if name in users:
+                    users[name].add((module, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, where)
+
+        for path in sorted(_PACKAGE.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+        assert users == {
+            "summary.json": {("simulator.py", "write_record"), ("simulator.py", "read_run")},
+            "read_record_csv": {("simulator.py", "read_run")},
+        }

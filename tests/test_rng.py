@@ -142,7 +142,7 @@ SITES = {
     "budget": ("budget", lambda v: _experiment(budget=v), 2),
     "seed": ("seed", lambda v: _experiment(seed=v), 3),
     "pool_size": ("pool_size", lambda v: _experiment(pool_size=v), 10),
-    "jobs": ("jobs", lambda v: sweep(_experiment(), [0], jobs=v), 1),
+    "jobs": ("jobs", lambda v: sweep([(_experiment(), "runs")], [0], jobs=v), 1),
     "check_seeds": ("seeds", lambda v: check_seeds([v]), 3),
     "Dataset.n_classes": ("n_classes", lambda v: Dataset(_TINY.X, _TINY.y, v), 3),
     "cells_per_side": ("cells_per_side", lambda v: make_grid_toy(cells_per_side=v, n_per_cell=1), 2),

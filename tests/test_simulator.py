@@ -19,6 +19,7 @@ from acqbench.simulator import (
     RunRecord,
     oracle_label,
     read_record_csv,
+    read_run,
     record_csv_text,
     record_summary,
     run_experiment,
@@ -242,45 +243,59 @@ class TestOracle:
             oracle_label(ds, np.array([-1]))
 
 
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
 class TestSweep:
-    def test_one_record_per_seed_in_order(self):
-        cfg = _config({"kind": "random"}, rounds=2)
-        recs = sweep(cfg, [4, 2, 7])
-        assert [r.seed for r in recs] == [4, 2, 7]
+    def test_one_record_per_seed_in_order(self, tmp_path):
+        # pair by pair, seed by seed; each run in root/<strategy>/<seed>
+        runs = [(_config({"kind": "random"}, rounds=2), tmp_path / "a"),
+                (_config({"kind": "margin"}, rounds=2), tmp_path)]
+        dirs = sweep(runs, [4, 2, 7])
+        assert dirs == [tmp_path / "a" / "random" / s for s in ("4", "2", "7")] + [
+            tmp_path / "margin" / s for s in ("4", "2", "7")]
+        assert [json.loads((d / "summary.json").read_text())["seed"] for d in dirs] == [4, 2, 7] * 2
 
-    def test_each_seed_matches_solo_run(self):
+    def test_each_seed_matches_solo_run(self, tmp_path):
         cfg = _config({"kind": "entropy"}, rounds=2)
-        recs = sweep(cfg, [1, 2])
-        for rec in recs:
-            solo = run_experiment(_config({"kind": "entropy"}, rounds=2, seed=rec.seed))
-            assert rec == solo
+        for run_dir in sweep([(cfg, tmp_path / "sweep")], [1, 2]):
+            solo = write_record(run_experiment(_config({"kind": "entropy"}, rounds=2, seed=int(run_dir.name))),
+                                tmp_path / "solo" / run_dir.name)
+            assert _tree(run_dir) == _tree(solo)
 
-    def test_parallel_matches_sequential(self):
-        cfg = _config({"kind": "random"}, rounds=2)
-        seq = sweep(cfg, [1, 2, 3], jobs=1)
-        par = sweep(cfg, [1, 2, 3], jobs=2)
-        assert seq == par
+    def test_parallel_matches_sequential(self, tmp_path):
+        runs = [(_config({"kind": kind}, rounds=2), tmp_path / "seq") for kind in ("random", "bald")]
+        seq = sweep(runs, [1, 2, 3], jobs=1)
+        par = sweep([(cfg, tmp_path / "par") for cfg, _ in runs], [1, 2, 3], jobs=2)
+        assert [d.relative_to(tmp_path / "seq") for d in seq] == [d.relative_to(tmp_path / "par") for d in par]
+        assert _tree(tmp_path / "seq") == _tree(tmp_path / "par")
+        assert len(_tree(tmp_path / "seq")) == 12
 
-    def test_duplicate_seeds_rejected(self):
+    def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            sweep(_config({"kind": "random"}), [1, 1])
+            sweep([(_config({"kind": "random"}), tmp_path)], [1, 1])
+        assert list(tmp_path.iterdir()) == []
 
-    def test_empty_seeds_rejected(self):
+    def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            sweep(_config({"kind": "random"}), [])
+            sweep([(_config({"kind": "random"}), tmp_path)], [])
 
-    def test_range_and_numpy_seeds_accepted(self):
+    def test_range_and_numpy_seeds_accepted(self, tmp_path):
         cfg = _config({"kind": "random"}, rounds=1)
-        want = sweep(cfg, [0, 1])
+        want = sweep([(cfg, tmp_path / "list")], [0, 1])
         for seeds in (range(2), np.arange(2)):
-            recs = sweep(cfg, seeds)
-            assert [type(r.seed) for r in recs] == [int, int]
-            assert recs == want
+            root = tmp_path / type(seeds).__name__
+            dirs = sweep([(cfg, root)], seeds)
+            assert [d.relative_to(root) for d in dirs] == [d.relative_to(tmp_path / "list") for d in want]
+            assert [json.loads((d / "summary.json").read_text())["seed"] for d in dirs] == [0, 1]
+            assert _tree(root) == _tree(tmp_path / "list")
 
     @pytest.mark.parametrize("seeds", [[True, 2], [np.bool_(True), 2]])
-    def test_bool_seed_rejected(self, seeds):
+    def test_bool_seed_rejected(self, seeds, tmp_path):
         with pytest.raises(ValueError, match="seeds"):
-            sweep(_config({"kind": "random"}), seeds)
+            sweep([(_config({"kind": "random"}), tmp_path)], seeds)
 
 
 class TestArtifacts:
@@ -327,10 +342,35 @@ class TestArtifacts:
         out = write_record(rec, tmp_path / "r")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["strategy"] == "margin"
-        assert summary["final_accuracy"] == rec.final_accuracy
-        assert summary["total_n_infer"] == rec.total_inferences
+        assert summary["final_accuracy"] == rec.rows[-1].test_accuracy
+        assert summary["total_n_infer"] == sum(r.n_infer for r in rec.rows)
         assert len(summary["rounds"]) == 2
         assert summary["rounds"][0]["selected"] == list(rec.rows[0].selected)
+
+    def test_read_run_matches_selected_by_round(self, tmp_path):
+        rec = run_experiment(_config({"kind": "margin"}, rounds=3))
+        out = write_record(rec, tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        summary["rounds"].reverse()
+        (out / "summary.json").write_text(json.dumps(summary))
+        rows = read_run(out)
+        assert [r["selected"] for r in rows] == [list(r.selected) for r in rec.rows]
+        assert [{c: r[c] for c in RECORD_COLUMNS} for r in rows] == read_record_csv(out / "record.csv")
+
+    def test_read_run_rejects_a_round_summary_lacks(self, tmp_path):
+        out = write_record(run_experiment(_config({"kind": "margin"}, rounds=2)), tmp_path / "r")
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["rounds"][1]
+        (out / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match=re.escape(f"{out}: summary.json has no round 2")):
+            read_run(out)
+
+    def test_read_run_rejects_a_record_without_summary(self, tmp_path):
+        # a run that died between its two atomic writes
+        out = write_record(run_experiment(_config({"kind": "margin"}, rounds=1)), tmp_path / "r")
+        (out / "summary.json").unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{out}: record.csv has no summary.json beside it")):
+            read_run(out)
 
     def test_unexpected_columns_rejected(self, tmp_path):
         # one format: a record with wall-time columns is refused too, and
@@ -364,8 +404,9 @@ class TestRecordTypes:
                       rows=(self._row(1), self._row(3)))
 
     def test_final_accuracy_falls_back_to_initial(self):
-        rec = RunRecord(strategy="x", seed=0, initial_accuracy=0.42)
-        assert rec.final_accuracy == 0.42
+        summary = record_summary(RunRecord(strategy="x", seed=0, initial_accuracy=0.42))
+        assert summary["final_accuracy"] == 0.42
+        assert summary["total_n_infer"] == 0
 
 
 class TestConfigValidation:
