@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: run (one seed), sweep (many seeds, optional process pool),
+Subcommands: run (one seed), sweep (many seeds, one worker per usable CPU),
 compare (heatmap over a results tree), ablate (parameter sweep with
 accuracy-vs-cost curves), toy (built-in checkerboard demo comparing random,
 least-confident, and k-centers selection).
@@ -90,12 +90,10 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _jobs(args) -> int:
+    """`--jobs`, else the CPUs this process may use (`sweep` caps it at the run count)."""
     if args.jobs is not None:
         return _integer(args.jobs, "--jobs", 1)
-    env = os.environ.get("ACQBENCH_JOBS", "").strip() or "1"
-    if not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"ACQBENCH_JOBS must be an integer >= 1, got {env!r}")
-    return int(env)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _load_config(path: str) -> dict:
@@ -300,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="override output directory")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None, help="worker processes (default $ACQBENCH_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=None, help="worker processes (default: usable CPUs, at most one per run)")
 
     p_run = sub.add_parser("run", help="run one experiment (first config seed by default)")
     p_run.set_defaults(handler=_cmd_run)

@@ -249,7 +249,7 @@ def sweep(runs, seeds, jobs: int = 1) -> list[Path]:
     workers = min(_integer(jobs, "jobs", 1), len(tasks))
     if workers <= 1:
         return [_run_with_seed(t) for t in tasks]
-    # imported here: the import takes ~20 ms, and most commands start no worker
+    # imported here: the import takes ~20 ms, which in-process runs never need
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_with_seed, tasks))

@@ -4,13 +4,20 @@ The golden digests and trained-weight pins are bytes of float results, and
 OpenBLAS picks its kernel per CPU at load time, so a pin can differ on
 another kernel with no change to the code. The header names the kernel this
 run loaded, and a failing pin says which kernel the pins were computed under.
-The header also gives the `src/` line count that ROADMAP tracks.
+The header also gives the `src/` line count that ROADMAP tracks. Before
+numpy loads, BLAS is pinned to one thread unless the environment says
+otherwise.
 """
 
 import ctypes
 import glob
 import os
 from pathlib import Path
+
+# one BLAS thread, as bench/run.py pins it, so that sweep workers do not
+# oversubscribe the CPUs; OpenBLAS reads these only when numpy loads it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

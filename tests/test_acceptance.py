@@ -275,12 +275,17 @@ def _small_config(out_dir):
     }
 
 
+def _tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_criterion_8_byte_identical_reruns(tmp_path):
     t0 = time.perf_counter()
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_small_config(tmp_path / "unused")))
 
-    for cmd in (["run", "--seed", "1"], ["sweep"], ["sweep", "--jobs", "2"]):
+    for cmd in (["run", "--seed", "1"], ["sweep"], ["sweep", "--jobs", "1"], ["sweep", "--jobs", "2"]):
         outs = []
         for rep in ("a", "b"):
             root = tmp_path / f"{cmd[0]}_{'_'.join(cmd[1:])}{rep}"
@@ -293,11 +298,14 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         for pa, pb in zip(*outs):
             assert pa.read_bytes() == pb.read_bytes(), f"{pa} differs on rerun"
 
-    # sequential and parallel sweeps of the same config also agree
+    # the default and parallel sweeps of the same config also agree
     a = (tmp_path / "sweep_a" / "bald" / "0" / "record.csv").read_bytes()
     b = (tmp_path / "sweep_--jobs_2a" / "bald" / "0" / "record.csv").read_bytes()
     assert a == b
-    _report(8, t0, "run/sweep/parallel sweep all byte-identical")
+    # and so do the in-process and two-worker sweeps, file for file
+    seq, par = _tree_bytes(tmp_path / "sweep_--jobs_1a"), _tree_bytes(tmp_path / "sweep_--jobs_2a")
+    assert len(seq) == 2 * 3 and seq == par
+    _report(8, t0, "run/sweep/sequential and parallel sweep all byte-identical")
 
 
 def test_criterion_9_desk_scale_heatmap_pipeline(tmp_path):

@@ -915,21 +915,50 @@ class TestOneSweepPerCommand:
         assert one == _tree_bytes(tmp_path / f"{command}2")
 
 
-class TestJobsEnv:
-    def test_env_var_controls_default_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ACQBENCH_JOBS", "2")
-        cfg_path = _write_config(tmp_path)
-        rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "env")])
-        assert rc == 0
-        a = (tmp_path / "env" / "entropy" / "0" / "record.csv").read_bytes()
-        monkeypatch.delenv("ACQBENCH_JOBS")
-        main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "plain")])
-        b = (tmp_path / "plain" / "entropy" / "0" / "record.csv").read_bytes()
-        assert a == b
+class TestDefaultJobs:
+    """Without --jobs, a command hands `sweep` the number of CPUs this
+    process may use; no environment variable changes it."""
 
-    @pytest.mark.parametrize("value", ["two", "0"])
-    def test_bad_env_var_is_named(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The `jobs` of every `cli.sweep` call, through a pass-through counter."""
+        handed = []
+        sweep = cli.sweep
+
+        def counted(*args, **kwargs):
+            handed.append(kwargs["jobs"])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", counted)
+        return handed
+
+    @staticmethod
+    def _sweep(tmp_path, out, *flags):
+        assert main(["sweep", "--config", _write_config(tmp_path), "--out", str(tmp_path / out), *flags]) == 0
+        return _tree_bytes(tmp_path / out)
+
+    def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch, handed):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self._sweep(tmp_path, "one")
+        assert handed == [1]
+
+    def test_two_cpus_two_workers_same_tree(self, tmp_path, monkeypatch, handed):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = self._sweep(tmp_path, "two")
+        assert two == self._sweep(tmp_path, "seq", "--jobs", "1")
+        assert handed == [2, 1]
+
+    @pytest.mark.parametrize("value", ["2", "two", "0"])
+    def test_env_var_changes_nothing(self, tmp_path, monkeypatch, handed, value):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        plain = self._sweep(tmp_path, "plain")
         monkeypatch.setenv("ACQBENCH_JOBS", value)
-        rc = main(["sweep", "--config", _write_config(tmp_path), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert "ACQBENCH_JOBS" in capsys.readouterr().err
+        assert self._sweep(tmp_path, "env") == plain
+        assert handed == [1, 1]
+
+    @pytest.mark.parametrize("count,jobs", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, handed, count, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        self._sweep(tmp_path, "out")
+        assert handed == [jobs]

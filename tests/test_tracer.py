@@ -56,8 +56,7 @@ def _traced_sweep(tmp_path, config, jobs):
     config_path.write_text(json.dumps(config))
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "ACQBENCH_JOBS"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
     before = _bench_files()
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(BENCH / "tracer.py"), str(trace_dir), str(config_path), str(jobs)],
