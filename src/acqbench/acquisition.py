@@ -344,10 +344,11 @@ def _unit_rows(f: np.ndarray) -> np.ndarray:
     return f / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def _raise_cover(unit, tot, cover, sims, cands, rows, tol):
+def _raise_cover(unit, tot, cover, sims, cands, rows, tol, buf):
     """Raise `cover` to a pick's similarities `sims` and add the change to
     the totals of `cands`: new_i - clip(sim(i, j), old_i, new_i), summed
-    over the points i whose cover rose.
+    over the points i whose cover rose. Every block's product goes into
+    `buf`, at least min(rows, n) * n floats, so one block is held at a time.
 
     Those points go in blocks of `rows`, lowest reach first, and each block
     is one GEMM against only the candidates it can reach. On the unit
@@ -371,8 +372,7 @@ def _raise_cover(unit, tot, cover, sims, cands, rows, tol):
     near = near[np.argsort(far[near])]
     far, near, near_units = far[near], cands[near], unit[cands[near]]
     tot[cands] += (new - old).sum()
-    # every block's product goes into one buffer, so one block is held at a time
-    delta, buf = np.zeros(len(near)), np.empty(min(rows, len(rise)) * len(near))
+    delta = np.zeros(len(near))
     for lo in range(0, len(rise), rows):
         blk = by_reach[lo : lo + rows]
         k = np.searchsorted(far, reach[blk[-1]], side="right")
@@ -431,7 +431,7 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
         tot = unit @ unit.sum(axis=0)
     else:
         tot = sum(np.clip(unit[lo : lo + rows] @ unit.T, 0.0, 1.0).sum(axis=0) for lo in range(0, n, rows))
-    cover = np.zeros(n)
+    cover, buf = np.zeros(n), np.empty(min(rows, n) * n)
     live = np.ones(n, dtype=bool)
     for step in range(b):
         total = cover.sum()
@@ -447,7 +447,7 @@ def select_facility_location(pool_features: np.ndarray, b: int) -> np.ndarray:
                 best, chosen[step], sims = exact, j, col
         live[chosen[step]] = False
         if step + 1 < b:
-            _raise_cover(unit, tot, cover, sims, np.flatnonzero(live), rows, tol)
+            _raise_cover(unit, tot, cover, sims, np.flatnonzero(live), rows, tol, buf)
     return chosen
 
 

@@ -130,7 +130,7 @@ def _median_final(runs) -> float:
 
 def table_csv_text(table: AccuracyTable) -> str:
     """Accuracy table as CSV: one row per round, one column per seed."""
-    rows = ([t, *(repr(float(v)) for v in accs)] for t, accs in enumerate(table.data, start=1))
+    rows = ([t, *accs] for t, accs in enumerate(table.data, start=1))
     return csv_text([["round", *(f"seed_{s}" for s in table.seeds)], *rows])
 
 
@@ -148,13 +148,7 @@ def curve_csv_text(runs) -> str:
     accs = np.array([[rows[t]["test_accuracy"] for _, rows in runs] for t in range(n_rounds)])
     infer = np.array([[rows[t]["n_infer"] for _, rows in runs] for t in range(n_rounds)]).cumsum(axis=0)
     rows = (
-        [
-            t + 1,
-            runs[0][1][t]["n_labeled"],
-            repr(float(accs[t].mean())),
-            repr(float(np.median(accs[t]))),
-            repr(float(infer[t].mean())),
-        ]
+        [t + 1, runs[0][1][t]["n_labeled"], accs[t].mean(), np.median(accs[t]), infer[t].mean()]
         for t in range(n_rounds)
     )
     return csv_text([header, *rows])
@@ -275,8 +269,7 @@ def _cmd_toy(args) -> int:
         tables.append(table)
         atomic_write_text(out / name / "accuracy_table.csv", table_csv_text(table))
         selections += (
-            [name, seed, row["round"], idx, repr(float(train_ds.X[idx, 0])), repr(float(train_ds.X[idx, 1])),
-             int(train_ds.y[idx])]
+            [name, seed, row["round"], idx, *train_ds.X[idx], train_ds.y[idx]]
             for seed, rows in runs
             for row in rows
             for idx in row["selected"]
@@ -298,7 +291,11 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="override output directory")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None, help="worker processes (default: usable CPUs, at most one per run)")
+            p.add_argument(
+                "--jobs", type=int, default=None,
+                help="worker processes (default: usable CPUs, at most one per run); each worker starts "
+                "one BLAS thread per CPU unless OPENBLAS_NUM_THREADS=1 is set",
+            )
 
     p_run = sub.add_parser("run", help="run one experiment (first config seed by default)")
     p_run.set_defaults(handler=_cmd_run)

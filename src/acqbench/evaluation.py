@@ -132,8 +132,7 @@ def compute_heatmap(tables: list[AccuracyTable], critical: float = DEFAULT_CRITI
 
 def heatmap_csv_text(hm: WinningRateMatrix) -> str:
     """CSV with one row per strategy and a trailing row_average column."""
-    avgs = hm.row_averages()
-    rows = [[name, *(repr(float(v)) for v in hm.matrix[i]), repr(float(avgs[i]))] for i, name in enumerate(hm.names)]
+    rows = ([name, *row, avg] for name, row, avg in zip(hm.names, hm.matrix, hm.row_averages()))
     return csv_text([["strategy", *hm.names, "row_average"], *rows])
 
 
@@ -155,7 +154,8 @@ def heatmap_svg_text(hm: WinningRateMatrix) -> str:
     gap = 14
     width = left + (k + 1) * cell + gap + 16
     height = top + k * cell + 28
-    avgs = hm.row_averages()
+    # the columns' left edges: the matrix, then the row averages past a gap
+    xs = [*(left + j * cell for j in range(k)), left + k * cell + gap]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -164,42 +164,25 @@ def heatmap_svg_text(hm: WinningRateMatrix) -> str:
         f'<text x="{left}" y="14" font-size="13">pairwise winning rates '
         f"(row beats column, t &gt; {hm.critical:g})</text>",
     ]
-    for j, name in enumerate(hm.names):
-        x = left + j * cell + cell / 2
+    for x, name in zip(xs, [*hm.names, "row_average"]):
+        x += cell / 2
         parts.append(
             f'<text x="{x}" y="{top - 6}" text-anchor="start" '
             f'transform="rotate(-55 {x} {top - 6})">{escape(name)}</text>'
         )
-    avg_x = left + k * cell + gap + cell / 2
-    parts.append(
-        f'<text x="{avg_x}" y="{top - 6}" text-anchor="start" '
-        f'transform="rotate(-55 {avg_x} {top - 6})">row_average</text>'
-    )
-    for i, name in enumerate(hm.names):
+    for i, (name, row, avg) in enumerate(zip(hm.names, hm.matrix.tolist(), hm.row_averages().tolist())):
         y = top + i * cell
         parts.append(f'<text x="{left - 8}" y="{y + cell / 2 + 4}" text-anchor="end">{escape(name)}</text>')
-        for j in range(k):
-            v = float(hm.matrix[i, j])
-            x = left + j * cell
+        for j, (x, v) in enumerate(zip(xs, [*row, avg])):
             fill = "#eeeeee" if i == j else _cell_color(v)
             text = "#333333" if (i == j or v < 0.55) else "white"
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}" '
-                f'stroke="#999999"/>'
+                f'stroke="{"#333333" if j == k else "#999999"}"/>'
             )
             parts.append(
                 f'<text x="{x + cell / 2}" y="{y + cell / 2 + 4}" text-anchor="middle" '
                 f'fill="{text}">{v:.2f}</text>'
             )
-        av = float(avgs[i])
-        x = left + k * cell + gap
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{_cell_color(av)}" '
-            f'stroke="#333333"/>'
-        )
-        parts.append(
-            f'<text x="{x + cell / 2}" y="{y + cell / 2 + 4}" text-anchor="middle" '
-            f'fill="{"#333333" if av < 0.55 else "white"}">{av:.2f}</text>'
-        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

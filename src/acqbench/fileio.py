@@ -8,6 +8,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write via a temp file in the same directory, then rename into place.
@@ -26,11 +28,9 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 
 def csv_text(rows) -> str:
-    """Rows of cells as CSV text with "\n" line ends.
-
-    A float cell is written with `repr`, so callers pass numpy scalars as
-    `repr(float(v))`: numpy 2 scalars repr as `np.float64(...)`.
-    """
+    """Rows of cells as CSV text with "\n" line ends. Every float cell,
+    Python or numpy, is written as `repr(float(v))`, which round-trips."""
     buf = io.StringIO()
+    rows = ([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows)
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

@@ -141,15 +141,15 @@ def _first_layer(w: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
     return np.maximum(a1, 0.0, out=a1)
 
 
-def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | float, first=None, out=(None,) * 3):
+def _forward(w: tuple[np.ndarray, ...], X: np.ndarray, mask: np.ndarray | None, first=None, out=(None,) * 3):
     """One pass; returns the activations (a1, a1d, a2) and logits z3.
     `mask` multiplies the first hidden activation (inverted dropout:
-    `_dropout_mask` during stochastic passes, 1.0 otherwise); `first` is
-    `_first_layer(w, X)`, when the caller already has it. `out` holds
-    buffers for (a1d, a2, z3); a None entry is allocated."""
+    `_dropout_mask` during stochastic passes); with None, a1d is a1.
+    `first` is `_first_layer(w, X)`, when the caller already has it. `out`
+    holds buffers for (a1d, a2, z3); a None entry is allocated."""
     _, _, w2, b2, w3, b3 = w
     a1 = _first_layer(w, X) if first is None else first
-    a1d = np.multiply(a1, mask, out=out[0])
+    a1d = a1 if mask is None else np.multiply(a1, mask, out=out[0])
     a2 = np.matmul(a1d, w2, out=out[1])
     a2 += b2
     np.maximum(a2, 0.0, out=a2)
@@ -220,7 +220,7 @@ def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor
     first = _first_layer(p.weights, X)
     drop, hid = np.empty((n, p.hidden)), np.empty((n, p.hidden))
     for k in range(mc.n_passes):
-        mask = _dropout_mask(p, stream(mc.seed, NS_MC, k), n, drop) if p.dropout else 1.0
+        mask = _dropout_mask(p, stream(mc.seed, NS_MC, k), n, drop) if p.dropout else None
         _forward(p.weights, X, mask, first, (drop, hid, passes[k]))
         _softmax(passes[k])
     return ProbabilityTensor._of_softmax(passes)
@@ -229,14 +229,14 @@ def mc_predict(p: ModelParams, X: np.ndarray, mc: MCConfig) -> ProbabilityTensor
 def features(p: ModelParams, X: np.ndarray) -> np.ndarray:
     """Last hidden layer activations (dropout disabled), shape [n, hidden]."""
     X, _ = _check_batch(p, X)
-    *_, a2, _ = _forward(p.weights, X, 1.0)
+    *_, a2, _ = _forward(p.weights, X, None)
     return a2
 
 
 def predict_proba(p: ModelParams, X: np.ndarray) -> np.ndarray:
     """Deterministic class probabilities (dropout disabled), shape [n, C]."""
     X, _ = _check_batch(p, X)
-    *_, z3 = _forward(p.weights, X, 1.0)
+    *_, z3 = _forward(p.weights, X, None)
     return _softmax(z3)
 
 
@@ -244,7 +244,7 @@ def accuracy(p: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax predictions matching `y`. The argmax is taken on
     the softmax, whose rounding can tie distinct logits, as reported."""
     X, y = _check_batch(p, X, y)
-    *_, z3 = _forward(p.weights, X, 1.0)
+    *_, z3 = _forward(p.weights, X, None)
     return float(np.mean(_softmax(z3).argmax(axis=1) == y))
 
 
@@ -252,7 +252,7 @@ def mean_cross_entropy(p: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Mean CE of the deterministic forward pass against true labels, in
     log-sum-exp form so extreme logits stay finite."""
     X, y = _check_batch(p, X, y)
-    *_, z3 = _forward(p.weights, X, 1.0)
+    *_, z3 = _forward(p.weights, X, None)
     zmax = z3.max(axis=1, keepdims=True)
     logsumexp = zmax[:, 0] + np.log(np.exp(z3 - zmax).sum(axis=1))
     return float(np.mean(logsumexp - z3[np.arange(X.shape[0]), y]))

@@ -1,6 +1,7 @@
 """Tests for paired t-scores, winning rates, and the all-pairs heatmap."""
 
 import csv
+import hashlib
 import io
 import ast
 import math
@@ -277,6 +278,24 @@ class TestRendering:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "alpha" in svg and "beta" in svg and "row_average" in svg
+
+    # an XML-escaped name, the diagonal, a cell at exactly 0.55 (white ink)
+    # and row averages that are not round numbers
+    _PINNED = WinningRateMatrix(
+        ("a<b&c", "beta", "gamma"), np.array([[0.0, 0.55, 1 / 3], [0.2, 0.0, 1.0], [2 / 3, 0.45, 0.0]]), 2.776
+    )
+
+    def test_csv_bytes_pinned(self):
+        text = heatmap_csv_text(self._PINNED)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "e67f75be1af4bb2c3d5a9add92f03fb8d9b9c70f4bd173b7636d2271766c193e"
+        )
+
+    def test_svg_bytes_pinned(self):
+        text = heatmap_svg_text(self._PINNED)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "cd7a78444a0115dd3b6fb28dd6461a4d70ea7c55f78d5cf9d3f89d58ed0f37f9"
+        )
 
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acqbench"

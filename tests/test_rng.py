@@ -29,7 +29,7 @@ from acqbench.aggregation import (
 from acqbench.config import validate_config
 from acqbench.datasets import Dataset, load_csv, make_blobs, make_grid_toy, split
 from acqbench.evaluation import AccuracyTable, WinningRateMatrix, compute_heatmap, t_score, winning_rate
-from acqbench.fileio import atomic_write_text
+from acqbench.fileio import atomic_write_text, csv_text
 from acqbench.model import MCConfig, ModelParams, TrainConfig, init_model, predict_proba, train
 from acqbench.rng import _array, derive_seed, stream
 from acqbench.simulator import ExperimentConfig, check_seeds, sweep
@@ -99,6 +99,17 @@ class TestAtomicWrite:
     def test_no_temp_files_left(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "data")
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+class TestCsvText:
+    def test_float_cells_written_as_python_float_repr(self):
+        row = np.array([0.1, 1 / 3])
+        cells = [np.float64(0.1), 0.1, -0.0, 1e16, 1e-05, np.float32(0.1), *row]
+        assert csv_text([cells]) == ",".join(repr(float(v)) for v in cells) + "\n"
+        assert csv_text([[np.float64(0.1)]]) == "0.1\n"
+
+    def test_other_cells_pass_through(self):
+        assert csv_text([[np.int64(3), 7, "a,b", "x"]]) == '3,7,"a,b",x\n'
 
 
 # --- the integer rule at every site that takes a count, budget, seed or key ---
@@ -461,6 +472,15 @@ def _outside_rng(pattern: re.Pattern) -> list[str]:
 
 
 class TestRuleOwners:
+    def test_only_fileio_writes_a_float_cell(self):
+        # `csv_text` owns the float-cell rule; its callers pass plain values
+        offenders = [
+            f"{path.name}: {line.strip()}"
+            for path in sorted(_PACKAGE.rglob("*.py")) if path.name != "fileio.py"
+            for line in path.read_text(encoding="utf-8").splitlines() if "repr(float(" in line
+        ]
+        assert offenders == []
+
     def test_only_rng_checks_finiteness_or_freezes_arrays(self):
         # the array rule has one owner; a second copy of it must not regrow
         pattern = re.compile(r"\bnp\.isfinite\b|\.flags\.writeable\s*=(?!=)")
